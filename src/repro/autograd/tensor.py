@@ -22,6 +22,8 @@ Design notes
 
 from __future__ import annotations
 
+import itertools
+import threading
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -58,6 +60,22 @@ def is_grad_enabled() -> bool:
     return _GradMode.enabled
 
 
+class _BackwardPass(threading.local):
+    """Generation number of the ``backward()`` running in this thread (0: none).
+
+    :meth:`Tensor._accumulate` stamps a gradient array it allocates itself
+    with the current generation and adds later contributions of the same
+    pass into it in place.  Generations are never reused, so ownership ends
+    when the pass that allocated the array returns.
+    """
+
+    generation: int = 0
+
+
+_BACKWARD = _BackwardPass()
+_GENERATIONS = itertools.count(1)
+
+
 def _as_array(value: ArrayLike, dtype=np.float64) -> np.ndarray:
     if isinstance(value, Tensor):
         return value.data
@@ -82,7 +100,7 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """A NumPy-backed array that supports reverse-mode differentiation."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name", "_grad_owner")
 
     def __init__(
         self,
@@ -97,6 +115,8 @@ class Tensor:
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._parents: Tuple["Tensor", ...] = ()
         self.name = name
+        # Generation of the backward pass that allocated ``grad`` (0: none).
+        self._grad_owner = 0
 
     # ------------------------------------------------------------------ #
     # Basic protocol
@@ -163,11 +183,29 @@ class Tensor:
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        """Add one gradient contribution to ``self.grad``.
+
+        A first contribution is stored by reference when it is a writable
+        base array: the caller may hand the same array to several parents
+        (``__add__`` does), so it is never written in place.  Any array this
+        method allocates itself during the running ``backward()`` takes the
+        later contributions of that pass in place; the sums are the same
+        IEEE additions in the same order as ``self.grad + grad``.
+        """
         grad = np.asarray(grad, dtype=self.data.dtype)
+        generation = _BACKWARD.generation
         if self.grad is None:
-            self.grad = grad.copy() if grad.base is not None or grad.flags.writeable is False else grad
+            if grad.base is not None or grad.flags.writeable is False:
+                self.grad = grad.copy()
+                self._grad_owner = generation
+            else:
+                self.grad = grad
+                self._grad_owner = 0
+        elif generation and self._grad_owner == generation and grad.shape == self.grad.shape:
+            np.add(self.grad, grad, out=self.grad)
         else:
             self.grad = self.grad + grad
+            self._grad_owner = generation
 
     def backward(self, grad: Optional[ArrayLike] = None) -> None:
         """Back-propagate from this tensor through the recorded graph.
@@ -199,10 +237,15 @@ class Tensor:
             order.append(node)
 
         visit(self)
-        self._accumulate(grad)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        previous = _BACKWARD.generation
+        _BACKWARD.generation = next(_GENERATIONS)
+        try:
+            self._accumulate(grad)
+            for node in reversed(order):
+                if node._backward is not None and node.grad is not None:
+                    node._backward(node.grad)
+        finally:
+            _BACKWARD.generation = previous
 
     # ------------------------------------------------------------------ #
     # Element-wise arithmetic
@@ -350,7 +393,7 @@ class Tensor:
     # ------------------------------------------------------------------ #
     # Reductions
     # ------------------------------------------------------------------ #
-    def sum(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
+    def sum(self, axis: Union[int, Tuple[int, ...], None] = None, keepdims: bool = False) -> "Tensor":
         data = self.data.sum(axis=axis, keepdims=keepdims)
 
         def backward(grad: np.ndarray) -> None:
@@ -363,11 +406,12 @@ class Tensor:
 
         return Tensor._make(data, (self,), backward)
 
-    def mean(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
+    def mean(self, axis: Union[int, Tuple[int, ...], None] = None, keepdims: bool = False) -> "Tensor":
         if axis is None:
             count = self.data.size
         else:
-            count = self.data.shape[axis]
+            axes = axis if isinstance(axis, tuple) else (axis,)
+            count = int(np.prod([self.data.shape[a] for a in axes]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
     def norm(self, axis: Optional[int] = None, keepdims: bool = False, eps: float = 1e-12) -> "Tensor":

@@ -28,7 +28,7 @@ from ..engine import PropagationEngine
 from ..data import DataSplit
 from ..graph import EdgeDropout, build_edge_dropout, propagation_matrix
 from ..models.graph_base import GraphRecommender
-from .refinement import refine_layer
+from .refinement import refine_layer, row_norms
 
 __all__ = ["LayerGCN"]
 
@@ -116,12 +116,14 @@ class LayerGCN(GraphRecommender):
         """All refined hidden layers ``X^1..X^L`` and their similarity vectors."""
         operator = self.propagation_operator()
         ego = self.embeddings
+        ego_norms = row_norms(ego.data)
         layers: List[Tensor] = []
         similarities: List[Tensor] = []
         current: Tensor = ego
         for _ in range(self.num_layers):
             propagated = operator.apply(current)
-            refined, similarity = refine_layer(propagated, ego, eps=self.epsilon)
+            refined, similarity = refine_layer(propagated, ego, eps=self.epsilon,
+                                               ego_norms=ego_norms)
             layers.append(refined)
             similarities.append(similarity)
             current = refined

@@ -12,17 +12,45 @@ cosine similarity to the ego layer:
 so hidden layers that agree with the node's ego representation are amplified
 and divergent layers are damped, which is the mechanism Proposition 2 uses to
 bound the drift from the ego embedding.
+
+:func:`refine_layer` is one autograd node.  Its forward and backward perform
+the same floating-point operations, in the same order, as the composition
+``scale_rows(hidden, row_cosine_similarity(hidden, ego, eps) + eps)`` of
+:mod:`repro.autograd.functional` (norms as :meth:`Tensor.norm` computes them,
+the denominator floored by ``clip``), so results are bit-identical to that
+chain while no (N, T) intermediate outlives the forward pass.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import NamedTuple, Optional, Tuple
 
+import numpy as np
 
 from ..autograd import Tensor
-from ..autograd.functional import row_cosine_similarity, scale_rows
+from ..autograd.functional import row_cosine_similarity
 
-__all__ = ["refine_layer", "refinement_similarity"]
+__all__ = ["RowNorms", "refine_layer", "refinement_similarity", "row_norms"]
+
+#: The floor :meth:`Tensor.norm` adds under the square root.
+_NORM_FLOOR = 1e-12
+
+
+class RowNorms(NamedTuple):
+    """Row norms of an (N, T) matrix, each of shape (N, 1).
+
+    ``norm`` is ``(Σ x² + 1e-12)^½`` as :meth:`Tensor.norm` computes it, and
+    ``rsqrt`` is ``(Σ x² + 1e-12)^-½``, the factor its backward uses.
+    """
+
+    norm: np.ndarray
+    rsqrt: np.ndarray
+
+
+def row_norms(matrix: np.ndarray) -> RowNorms:
+    """Row norms of ``matrix`` for :func:`refine_layer`."""
+    squared = (matrix * matrix).sum(axis=1, keepdims=True) + _NORM_FLOOR
+    return RowNorms(squared ** 0.5, squared ** -0.5)
 
 
 def refinement_similarity(hidden: Tensor, ego: Tensor, eps: float = 1e-8) -> Tensor:
@@ -30,7 +58,8 @@ def refinement_similarity(hidden: Tensor, ego: Tensor, eps: float = 1e-8) -> Ten
     return row_cosine_similarity(hidden, ego, eps=eps)
 
 
-def refine_layer(hidden: Tensor, ego: Tensor, eps: float = 1e-8) -> Tuple[Tensor, Tensor]:
+def refine_layer(hidden: Tensor, ego: Tensor, eps: float = 1e-8,
+                 ego_norms: Optional[RowNorms] = None) -> Tuple[Tensor, Tensor]:
     """Apply the layer refinement of Eq. 6 and return (refined layer, similarities).
 
     Parameters
@@ -41,16 +70,55 @@ def refine_layer(hidden: Tensor, ego: Tensor, eps: float = 1e-8) -> Tuple[Tensor
         The ego layer :math:`X^0` of shape (N, T).
     eps:
         The small positive constant added to the similarity so refined rows
-        can never become exactly zero (the ε of Eq. 6).
+        can never become exactly zero (the ε of Eq. 6).  It also floors the
+        norm product in the similarity's denominator (Eq. 8).
+    ego_norms:
+        ``row_norms(ego.data)``, when the caller refines several layers
+        against the same ego layer; computed here when omitted.
 
     Returns
     -------
     refined:
-        :math:`(a^{l+1} + \\epsilon)\\,\\tilde{X}^{l+1}`.
+        :math:`(a^{l+1} + \\epsilon)\\,\\tilde{X}^{l+1}`, differentiable with
+        respect to both ``hidden`` and ``ego``.
     similarity:
-        The similarity vector ``a^{l+1}`` (shape (N, 1)), useful for the
-        Fig. 5 visualisation and for tests of Proposition 2.
+        The similarity vector ``a^{l+1}`` (shape (N, 1)), detached from the
+        graph; useful for the Fig. 5 visualisation and for tests of
+        Proposition 2.  :func:`refinement_similarity` is the differentiable
+        form.
     """
-    similarity = refinement_similarity(hidden, ego, eps=eps)
-    refined = scale_rows(hidden, similarity + eps)
-    return refined, similarity
+    h, e = hidden.data, ego.data
+    if ego_norms is None:
+        ego_norms = row_norms(e)
+    hidden_norms = row_norms(h)
+    dot = (h * e).sum(axis=1, keepdims=True)
+    norm_product = hidden_norms.norm * ego_norms.norm
+    denom = np.clip(norm_product, eps, None)
+    similarity = dot / denom
+    weight = similarity + eps
+
+    def backward(grad: np.ndarray) -> None:
+        # Reverse order of the chain: scale_rows, the quotient, the clip,
+        # the norm product, then each norm's power and square-sum.
+        grad_weight = (grad * h).sum(axis=1, keepdims=True)
+        grad_dot = grad_weight / denom
+        grad_norm_product = (-grad_weight * dot / denom ** 2) * (norm_product >= eps)
+        # Each parent gets its terms as separate additions in the chain's
+        # order: (g + t) + t is not g + 2t in floating point.
+        if hidden.requires_grad:
+            grad_squared = grad_norm_product * ego_norms.norm * 0.5 * hidden_norms.rsqrt
+            square_term = grad_squared * h
+            grad_hidden = grad * weight
+            grad_hidden += square_term
+            grad_hidden += square_term
+            grad_hidden += grad_dot * e
+            hidden._accumulate(grad_hidden)
+        if ego.requires_grad:
+            grad_squared = grad_norm_product * hidden_norms.norm * 0.5 * ego_norms.rsqrt
+            square_term = grad_squared * e
+            ego._accumulate(square_term)
+            ego._accumulate(square_term)
+            ego._accumulate(grad_dot * h)
+
+    refined = Tensor._make(h * weight, (hidden, ego), backward)
+    return refined, Tensor(similarity)

@@ -73,6 +73,62 @@ class TestBackwardMechanics:
         assert t.grad is None
 
 
+class TestGradientOwnership:
+    """``_accumulate`` adds in place only into arrays it allocated in this pass."""
+
+    def test_shared_first_contribution_is_not_written_in_place(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, 4.0], requires_grad=True)
+        weights = np.array([5.0, 7.0])
+        # ``__add__`` hands one array to both a and b; a's further
+        # contribution from ``a * 3`` is processed after it.
+        loss = (a * 3.0).sum() + ((a + b) * weights).sum()
+        loss.backward()
+        np.testing.assert_array_equal(b.grad, weights)
+        np.testing.assert_array_equal(a.grad, weights + 3.0)
+
+    def test_ownership_ends_when_backward_returns(self):
+        t = Tensor([1.0, 2.0], requires_grad=True)
+        (t * 2.0 + t * 3.0 + t * 4.0).sum().backward()
+        captured = t.grad
+        snapshot = captured.copy()
+        (t * 5.0 + t * 6.0).sum().backward()
+        np.testing.assert_array_equal(captured, snapshot)
+        assert t.grad is not captured
+        np.testing.assert_array_equal(t.grad, [20.0, 20.0])
+
+    @pytest.mark.parametrize("model_name", ["layergcn", "lightgcn"])
+    def test_training_bit_identical_to_out_of_place_sums(self, tiny_split, monkeypatch,
+                                                         model_name):
+        from repro.models import build_model
+        from repro.training import Trainer, TrainerConfig
+
+        def out_of_place(self, grad):
+            grad = np.asarray(grad, dtype=self.data.dtype)
+            if self.grad is None:
+                self.grad = grad.copy() if grad.base is not None or not grad.flags.writeable else grad
+            else:
+                self.grad = self.grad + grad
+
+        def train(patched):
+            with monkeypatch.context() as patch:
+                if patched:
+                    patch.setattr(Tensor, "_accumulate", out_of_place)
+                model = build_model(model_name, tiny_split, embedding_dim=8, num_layers=3,
+                                    batch_size=64, seed=2)
+                config = TrainerConfig(epochs=2, learning_rate=1e-2, eval_every=100,
+                                       restore_best=False)
+                history = Trainer(model, tiny_split, config).fit()
+            return ([loss.hex() for epoch in history.batch_losses for loss in epoch],
+                    [parameter.data.copy() for parameter in model.parameters()])
+
+        in_place_losses, in_place_parameters = train(patched=False)
+        reference_losses, reference_parameters = train(patched=True)
+        assert in_place_losses == reference_losses
+        for got, want in zip(in_place_parameters, reference_parameters):
+            assert np.array_equal(got, want)
+
+
 class TestArithmeticGradients:
     def test_add(self, rng):
         check_gradient(lambda t: (t + 3.0).sum(), rng.normal(size=(3, 4)))
@@ -157,6 +213,16 @@ class TestReductionGradients:
 
     def test_mean_axis(self, rng):
         check_gradient(lambda t: (t.mean(axis=1) ** 2).sum(), rng.normal(size=(3, 4)))
+
+    @pytest.mark.parametrize("axis", [None, 0, 2, -1, -3, (0, 2), (-1, 0), (1,), (0, 1, 2)])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_mean_matches_numpy(self, rng, axis, keepdims):
+        values = rng.normal(size=(2, 3, 4))
+        np.testing.assert_allclose(Tensor(values).mean(axis=axis, keepdims=keepdims).data,
+                                   np.mean(values, axis=axis, keepdims=keepdims), rtol=1e-12)
+
+    def test_mean_tuple_axis_gradient(self, rng):
+        check_gradient(lambda t: (t.mean(axis=(0, 2)) ** 2).sum(), rng.normal(size=(2, 3, 4)))
 
     def test_norm(self, rng):
         check_gradient(lambda t: t.norm(axis=1).sum(), rng.normal(size=(3, 4)))
