@@ -6,11 +6,12 @@ strided policies) and serves batched top-K through
 
 * **Parity (the CI gate).**  For S ∈ {1, 2, 4, 7} the sharded path must
   return *bit-exact* top-K lists (same ids, same order) as the unsharded
-  :class:`InferenceIndex` oracle wherever scores are distinct: the masked
-  path at a ``k`` that stays inside the finite-score region, and the
-  unmasked path at a ``k`` larger than every shard (so the k>items-per-shard
-  and empty-shard merge behaviour is exercised end-to-end).  Any drift
-  between the shard merge and the single-matrix ranking fails the build.
+  :class:`InferenceIndex` oracle: the masked path at a ``k`` inside the
+  finite-score region and at the whole catalogue (the ``-inf`` masked tail,
+  ranked by ascending id on both sides), and the unmasked path at a ``k``
+  larger than every shard (so the k>items-per-shard and empty-shard merge
+  behaviour is exercised end-to-end).  Any drift between the shard merge and
+  the single-matrix ranking fails the build.
 * **Throughput.**  Full-catalogue top-K over all users, timed per shard
   count with the serial and the threaded executor.  On the toy synthetic
   presets fan-out overhead usually beats the BLAS win — the numbers are
@@ -78,11 +79,9 @@ def _build_index(name: str) -> InferenceIndex:
 def check_parity(index: InferenceIndex) -> int:
     """Assert bit-exact shard/unshard agreement; returns #comparisons made.
 
-    Distinct-score regions only: exact ties (the ``-inf`` masked tail when k
-    approaches the catalogue size) are ordered arbitrarily by the unsharded
-    ``argpartition`` and deterministically by the shard merge, so parity is
-    asserted where the ranking is well defined — which is every position that
-    matters.
+    Both sides rank under (score descending, item id ascending), so exact
+    ties — the ``-inf`` masked tail at ``k`` = catalogue size included —
+    must agree too.
     """
     users = np.arange(index.num_users, dtype=np.int64)
     # Finite-score region for the masked path: no user's list may reach into
@@ -94,6 +93,7 @@ def check_parity(index: InferenceIndex) -> int:
     deep_k = index.num_items
 
     oracle_masked = index.top_k(users, masked_k, exclude_train=True)
+    oracle_tail = index.top_k(users, deep_k, exclude_train=True)
     oracle_deep = index.top_k(users, deep_k, exclude_train=False)
 
     comparisons = 0
@@ -105,11 +105,15 @@ def check_parity(index: InferenceIndex) -> int:
             assert np.array_equal(oracle_masked, got), (
                 f"sharded top-{masked_k} (S={num_shards}, {policy}, masked) "
                 f"diverges from the unsharded oracle")
+            got = sharded.top_k(users, deep_k, exclude_train=True)
+            assert np.array_equal(oracle_tail, got), (
+                f"sharded top-{deep_k} (S={num_shards}, {policy}, masked "
+                f"tail) diverges from the unsharded oracle")
             got = sharded.top_k(users, deep_k, exclude_train=False)
             assert np.array_equal(oracle_deep, got), (
                 f"sharded top-{deep_k} (S={num_shards}, {policy}, unmasked) "
                 f"diverges from the unsharded oracle")
-            comparisons += 2
+            comparisons += 3
     return comparisons
 
 

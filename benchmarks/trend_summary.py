@@ -77,6 +77,11 @@ KEY_METRICS = {
         ("on/off serving parity", "parity", "all", "bit-identical"),
         ("shard spans stitched", "shard_spans", "max", ">= 1 remote span"),
     ],
+    "bench_top_k": [
+        ("speedup vs argpartition", "speedup", "max",
+         "lexsort-oracle parity gated"),
+        ("parity comparisons", "parity_checks", "max", "all bit-exact"),
+    ],
     "bench_fault_tolerance": [
         ("availability under kills", "availability", "min",
          "= 1.0 while a replica survives"),

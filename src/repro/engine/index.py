@@ -19,6 +19,8 @@ from any scorer, including test doubles.
 
 from __future__ import annotations
 
+import functools
+import math
 import threading
 from typing import List, Optional, Sequence, Tuple
 
@@ -44,6 +46,11 @@ _DENSE_MEMBERSHIP_CELLS = 1 << 26
 #: score-everyone call never pins ``num_users x num_items`` floats for the
 #: life of the index.
 _SCORE_BUFFER_MAX_ROWS = 1024
+
+#: Fewest items per block, and fewest scores per batch, for which
+#: :func:`top_k_indices` prefilters by block maxima; see :func:`_block_size`.
+_MIN_BLOCK = 4
+_MIN_PREFILTER_CELLS = 1 << 13
 
 
 def _expand_slices(counts: np.ndarray,
@@ -103,17 +110,135 @@ class _FlatPairOps:
         return self.dense_rows(users, dtype=bool)
 
 
-def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the top-``k`` scores per row, ordered by decreasing score.
+def _rank_candidates(values: np.ndarray, rows: np.ndarray, ids: np.ndarray,
+                     num_rows: int, k: int) -> np.ndarray:
+    """The first ``k`` candidates of each row, best first.
 
-    Ties break by ascending item id (stable argsort over an argpartition),
-    matching the historical evaluator behaviour bit-for-bit.
+    ``values``, ``rows`` and ``ids`` list every row's candidates as one
+    contiguous run, rows ascending and ids ascending within a row, with at
+    least ``k`` candidates per row.  The runs are packed into a
+    ``(num_rows, longest run)`` matrix of negated values padded with NaN, so
+    one stable row-wise argsort ranks by descending value, breaks ties by
+    position (ascending id) and puts NaN last, a real NaN before the padding.
     """
-    k = min(int(k), scores.shape[1])
-    partition = np.argpartition(-scores, kth=k - 1, axis=1)[:, :k]
-    row_scores = np.take_along_axis(scores, partition, axis=1)
-    order = np.argsort(-row_scores, axis=1, kind="stable")
-    return np.take_along_axis(partition, order, axis=1)
+    if rows.size == num_rows * k:  # exactly k per row: packed already
+        starts = np.arange(0, rows.size, k)
+        packed = -values.reshape(num_rows, k)
+    else:
+        counts = np.bincount(rows, minlength=num_rows)
+        starts = np.cumsum(counts) - counts
+        packed = np.full((num_rows, int(counts.max())), np.nan,
+                         dtype=np.result_type(values.dtype, np.float32))
+        packed[rows, np.arange(rows.size) - starts[rows]] = -values
+    order = np.argsort(packed, axis=1, kind="stable")[:, :k]
+    return ids[starts[:, None] + order]
+
+
+def _top_k_full(scores: np.ndarray, k: int) -> np.ndarray:
+    """Exact top-``k`` of whole rows: a threshold, then the items above it.
+
+    The threshold is the value ``np.partition`` places at the k-th largest
+    position.  ``np.partition`` sorts NaN last, so in a row holding NaN it
+    can land above the k-th largest number, or be NaN itself.  A row where
+    fewer than ``k`` items reach the threshold therefore ranks every item;
+    in every other row the items at or above it hold the top ``k`` and all
+    ties with the k-th.
+    """
+    width = scores.shape[1]
+    threshold = np.partition(scores, width - k, axis=1)[:, width - k, None]
+    keep = scores >= threshold
+    keep[keep.sum(axis=1) < k] = True
+    rows, cols = np.divmod(np.flatnonzero(keep), width)
+    return _rank_candidates(scores[rows, cols], rows, cols, scores.shape[0], k)
+
+
+@functools.lru_cache(maxsize=256)
+def _block_size(width: int, k: int) -> int:
+    """Items per block of the top-k prefilter, or 0 for the full-row path.
+
+    The prefilter reads every score once, partitions the block maxima and
+    gathers ``k`` blocks, so about ``sqrt(width / k)`` items per block keeps
+    both of the later steps small; the largest size down to half of that
+    which divides ``width`` is preferred, as it leaves no tail to append.
+    With fewer than ``_MIN_BLOCK`` items per block (narrow rows or large
+    ``k``) the gathered blocks are most of the row, and the full-row path
+    is cheaper.  Cached: a serving process sees few ``(width, k)`` shapes.
+    """
+    target = math.isqrt(width // k)
+    if target < _MIN_BLOCK:
+        return 0
+    return next((size for size in range(target, target // 2, -1)
+                 if width % size == 0), target)
+
+
+def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the top-``k`` scores of each row, best first.
+
+    Each row is ranked under one total order: score descending, then item id
+    ascending.  NaN ranks below every number, ``-inf`` included, and NaNs tie
+    with each other.  The result is exact and does not depend on the batch a
+    row arrives in, so an item-sharded merge under the same order reproduces
+    it.  ``k`` is capped at the row width.  A row with fewer than ``k``
+    servable items (the others masked to ``-inf``) therefore ends with
+    excluded items in ascending id order.
+
+    Rows are split into blocks of B items, block ``j`` holding items ``j``,
+    ``j + width // B``, ... (the tail past a whole number of blocks is never
+    pruned).  With ``t`` the k-th largest block maximum, at least ``k`` items
+    score ``>= t``, so the top ``k`` and every item tied with the k-th lie in
+    the blocks whose maximum reaches ``t`` (NaN-only blocks have no such
+    item).  Rows where exactly ``k`` blocks reach ``t`` rank only those
+    blocks and the tail.  Rows where more do (ties, mostly ``-inf`` rows), and
+    rows too narrow for blocks, take the exact full-row path.  Either way a
+    batch costs a fixed number of NumPy calls, no negated copy of ``scores``
+    is made, and index arrays cover the candidate items only.
+    """
+    num_rows, width = scores.shape
+    k = min(int(k), width)
+    if k <= 0 or num_rows == 0:
+        return np.empty((num_rows, max(k, 0)), dtype=np.int64)
+    # Below _MIN_PREFILTER_CELLS scores per batch the prefilter's extra NumPy
+    # calls cost more than they save.
+    block = (_block_size(width, k)
+             if num_rows * width >= _MIN_PREFILTER_CELLS else 0)
+    if not block:
+        return _top_k_full(scores, k)
+    num_blocks = width // block
+    split = num_blocks * block
+    body = scores[:, :split].reshape(num_rows, block, num_blocks)
+    # fmax skips NaN, so a block maximum bounds every number in its block.
+    maxima = np.fmax.reduce(body, axis=1)
+    threshold = np.partition(maxima, num_blocks - k,
+                             axis=1)[:, num_blocks - k, None]
+    keep = maxima >= threshold
+    pruned = keep.sum(axis=1) == k
+    rows = np.flatnonzero(pruned)
+    if rows.size < num_rows:
+        top = np.empty((num_rows, k), dtype=np.int64)
+        full = np.flatnonzero(~pruned)
+        top[full] = _top_k_full(scores[full], k)
+        if rows.size == 0:
+            return top
+        keep, threshold = keep[rows], threshold[rows]
+    blocks = (np.flatnonzero(keep) % num_blocks).reshape(rows.size, k)
+    # Column i*k + j holds item i*num_blocks + blocks[j]: ids ascend along
+    # each row, and the tail's ids follow.
+    kept = body[rows[:, None], :, blocks].transpose(0, 2, 1).reshape(
+        rows.size, block * k)
+    if split < width:
+        kept = np.concatenate([kept, scores[rows, split:]], axis=1)
+    cand_rows, cols = np.divmod(np.flatnonzero(kept >= threshold),
+                                kept.shape[1])
+    offset, slot = np.divmod(cols, k)
+    ids = offset * num_blocks + blocks[cand_rows, slot]
+    if split < width:
+        ids = np.where(offset < block, ids, cols + (split - block * k))
+    ranked = _rank_candidates(kept[cand_rows, cols], cand_rows, ids,
+                              rows.size, k)
+    if rows.size == num_rows:
+        return ranked
+    top[rows] = ranked
+    return top
 
 
 class UserItemIndex(_FlatPairOps):

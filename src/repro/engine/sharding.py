@@ -29,12 +29,11 @@ item-embedding matrix **item-wise** into ``S`` shards:
 Correctness of the merge: each shard returns its local top ``min(k, n_s)``
 (an empty candidate list for empty shards).  Any item in the global top-k is
 in its own shard's top-k (the shard ranking is a sub-ranking of the global
-one), so re-ranking the union of per-shard candidates by score reproduces the
-unsharded result bit-for-bit wherever scores are distinct.  On exact ties the
-merge is *more* deterministic than the unsharded path: it always prefers the
-ascending global item id, whereas ``argpartition`` order is arbitrary — the
-only place this shows is the meaningless ``-inf`` masked tail when ``k``
-approaches the catalogue size.
+one), so re-ranking the union of per-shard candidates reproduces the
+unsharded result bit-for-bit.  Both sides rank under the same total order —
+score descending, then global item id ascending (a shard's local ids ascend
+with its global ids under either policy) — so ties, the ``-inf`` masked tail
+included, come out identically.
 """
 
 from __future__ import annotations
@@ -398,7 +397,7 @@ class ShardedInferenceIndex:
     """Item-sharded drop-in for :class:`InferenceIndex` top-K serving.
 
     ``top_k`` / ``score_pairs`` / ``recommend`` match the unsharded index
-    bit-for-bit on distinct scores: candidates are generated per shard and
+    bit-for-bit, ties included: candidates are generated per shard and
     re-ranked exactly, never approximated.  Only factorised snapshots can be
     sharded — the whole point is splitting the item-embedding matrix.
     """

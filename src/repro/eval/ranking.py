@@ -198,11 +198,6 @@ class RankingEvaluator:
             return average / np.minimum(num_relevant, k)
         raise KeyError(f"no vectorised kernel for metric '{metric}'")
 
-    @staticmethod
-    def _top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
-        """Indices of the top-``k`` scores per row, ordered by decreasing score."""
-        return top_k_indices(scores, k)
-
 
 def evaluate_model(model, split: DataSplit, ks: Sequence[int] = DEFAULT_KS,
                    metrics: Sequence[str] = DEFAULT_METRICS,

@@ -240,12 +240,17 @@ class TestOnlineService:
     def test_refresh_preserves_ingested_state(self, model, tiny_split):
         service = OnlineRecommendationService(model)
         base_users = tiny_split.num_users
-        service.ingest(np.asarray([0, base_users]), np.asarray([9, 9]))
+        consumed = tiny_split.train_positive_sets()[0]
+        item = min(set(range(tiny_split.num_items)) - consumed)
+        service.ingest(np.asarray([0, base_users]), np.asarray([item, item]))
         model.user_factors.data[:] = -model.user_factors.data
         service.refresh()
         assert service.num_users == base_users + 1  # grown user survives
-        assert service.overlay.contains(np.asarray([0]), np.asarray([9]))[0]
-        assert 9 not in service.recommend(0, k=tiny_split.num_items - 1)
+        assert service.overlay.contains(np.asarray([0]), np.asarray([item]))[0]
+        servable = tiny_split.num_items - len(consumed) - 1
+        served = service.recommend(0, k=servable)
+        assert len(served) == servable
+        assert not ({item} | consumed) & set(served)
 
     def test_spurious_refresh_is_a_true_noop(self, model):
         # Nothing ingested, embeddings unchanged: refresh must keep the whole

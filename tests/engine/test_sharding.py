@@ -31,8 +31,8 @@ def index(model, tiny_split):
 def safe_masked_k(index):
     """Largest k whose masked top-k never reaches the -inf tail.
 
-    Beyond it the lists pad with exact-tied -inf entries whose order is
-    arbitrary on the unsharded path, so bit-exact comparisons stop there.
+    Beyond it the lists pad with exact-tied -inf entries in ascending id
+    order; ``test_masked_tail_parity`` compares that tail.
     """
     return index.num_items - int(index.exclusion.counts().max())
 
@@ -104,8 +104,19 @@ class TestItemShard:
             ItemShard(0, np.array([0, 1]), index.item_embeddings[:3])
 
 
+@pytest.fixture()
+def tied_index(index, rng):
+    """Integer-valued embeddings: integer scores, ties everywhere."""
+    dim = index.user_embeddings.shape[1]
+    return InferenceIndex(
+        index.num_users, index.num_items,
+        user_embeddings=rng.integers(-1, 2, (index.num_users, dim)).astype(float),
+        item_embeddings=rng.integers(-1, 2, (index.num_items, dim)).astype(float),
+        exclusion=index.exclusion)
+
+
 class TestShardedParity:
-    """The acceptance gate: sharded == unsharded wherever scores are distinct."""
+    """The acceptance gate: sharded == unsharded, bit for bit, ties included."""
 
     @pytest.mark.parametrize("policy", ["contiguous", "strided"])
     @pytest.mark.parametrize("num_shards", [1, 2, 4, 7])
@@ -116,6 +127,29 @@ class TestShardedParity:
                                                    policy=policy)
         np.testing.assert_array_equal(index.top_k(users, k),
                                       sharded.top_k(users, k))
+
+    @pytest.mark.parametrize("policy", ["contiguous", "strided"])
+    @pytest.mark.parametrize("num_shards", [1, 2, 4, 7])
+    def test_tie_heavy_parity(self, tied_index, policy, num_shards):
+        users = np.arange(tied_index.num_users)
+        sharded = ShardedInferenceIndex.from_index(tied_index, num_shards,
+                                                   policy=policy)
+        for k in (1, 10, tied_index.num_items):
+            for exclude_train in (True, False):
+                np.testing.assert_array_equal(
+                    tied_index.top_k(users, k, exclude_train=exclude_train),
+                    sharded.top_k(users, k, exclude_train=exclude_train))
+
+    @pytest.mark.parametrize("policy", ["contiguous", "strided"])
+    @pytest.mark.parametrize("num_shards", [1, 2, 4, 7])
+    def test_masked_tail_parity(self, index, policy, num_shards):
+        """k = num_items: the -inf masked tail is compared too."""
+        users = np.arange(index.num_users)
+        sharded = ShardedInferenceIndex.from_index(index, num_shards,
+                                                   policy=policy)
+        np.testing.assert_array_equal(
+            index.top_k(users, index.num_items, exclude_train=True),
+            sharded.top_k(users, index.num_items, exclude_train=True))
 
     @pytest.mark.parametrize("policy", ["contiguous", "strided"])
     @pytest.mark.parametrize("num_shards", [2, 4, 7])

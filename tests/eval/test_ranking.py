@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.eval import EvaluationResult, RankingEvaluator, evaluate_model
+from repro.eval.ranking import top_k_indices
 
 
 class _OracleModel:
@@ -115,7 +116,7 @@ class TestRankingEvaluator:
 
     def test_top_k_indices_sorted_by_score(self):
         scores = np.array([[0.1, 0.9, 0.5, 0.7]])
-        top = RankingEvaluator._top_k_indices(scores, 3)
+        top = top_k_indices(scores, 3)
         np.testing.assert_array_equal(top[0], [1, 3, 2])
 
     def test_evaluate_model_convenience(self, tiny_split):

@@ -1,10 +1,14 @@
 """Tests for the command-line interface."""
 
+import io
 import json
+import re
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.engine import RecommendationService
+from repro.models import BprMF
 
 
 class TestParser:
@@ -516,3 +520,43 @@ class TestServeRecommend:
         for flag in ("--serve", "--batch-window-ms", "--max-batch-size",
                      "--max-pending"):
             assert flag in recommend_help
+
+
+class TestStatsCommand:
+    RECOMMEND = ["recommend", "--model", "bpr", "--dataset", "tiny",
+                 "--epochs", "0", "--embedding-dim", "8", "--users", "0,2",
+                 "-k", "4", "--json"]
+
+    @staticmethod
+    def assert_cache_and_metrics(output):
+        assert "cache: hits=" in output
+        assert "metrics (on):" in output
+        assert "service.top_k_calls = " in output
+        # *_s histograms hold seconds and print with a time unit.
+        assert re.search(r"service\.top_k_s: n=\d+ mean=[\d.]+(us|ms|s) ",
+                         output)
+
+    def test_recommend_payload_from_file_and_stdin(self, capsys, monkeypatch,
+                                                   tmp_path):
+        assert main(self.RECOMMEND) == 0
+        payload = capsys.readouterr().out
+        path = tmp_path / "payload.json"
+        path.write_text(payload)
+        assert main(["stats", str(path)]) == 0
+        self.assert_cache_and_metrics(capsys.readouterr().out)
+        monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        assert main(["stats"]) == 0
+        self.assert_cache_and_metrics(capsys.readouterr().out)
+
+    def test_bare_service_stats(self, capsys, tmp_path, tiny_split):
+        model = BprMF(tiny_split, embedding_dim=8, seed=0)
+        model.eval()
+        service = RecommendationService(model)
+        service.recommend(0, k=5)
+        service.recommend(0, k=5)  # a cache hit
+        path = tmp_path / "stats.json"
+        path.write_text(json.dumps(service.stats()))
+        assert main(["stats", str(path)]) == 0
+        output = capsys.readouterr().out
+        self.assert_cache_and_metrics(output)
+        assert "hits=1" in output
