@@ -10,14 +10,21 @@ per-shard lists and ``RankingEvaluator``.  This script checks two things:
   (including rows with fewer than k finite scores), NaN-bearing rows and
   ``k`` up to the row width — and ``InferenceIndex.top_k`` must equal the
   oracle over its own masked score batch.
-* **Time per call.**  ``InferenceIndex.top_k`` on a dim-64 world at the
-  repository benchmark's ``serve-batch`` shape (40,000 users x 20,000 items,
-  15 exclusions per user), at batch sizes 1, 3, 8, 64 and 1024, against the
-  same call with the selection swapped for :func:`argpartition_top_k`
-  (``argpartition`` on ``-scores``, then a stable sort of the k winners: the
-  routine this kernel replaced, kept here only as the timing baseline).
-  Calls alternate between the two and each side reports its median.
-  Numbers are reported, not asserted.
+* **Time and memory per call.**  ``InferenceIndex.top_k`` on a dim-64
+  world at the repository benchmark's ``serve-batch`` shape (40,000 users x
+  20,000 items, 15 exclusions per user), at batch sizes 1, 3, 8, 64 and
+  1024, against the same call with the selection swapped for
+  :func:`argpartition_top_k` (``argpartition`` on ``-scores``, then a stable
+  sort of the k winners: the routine this kernel replaced, kept here only as
+  the timing baseline), and for each of the kernel's two paths forced on
+  every batch: the full-row path and the block prefilter.  The last two
+  show each side of the kernel's ``_MIN_PREFILTER_CELLS`` cut-over, which
+  the smoke world's batches of 1-8 rows and 64-1024 rows straddle.  Calls
+  alternate between the four and each side reports its median.  One more call per side reports the
+  peak NumPy allocation of the selection (``tracemalloc``; the process's
+  peak RSS is a high-water mark that cannot isolate one call).  A last row
+  serves a batch of 1024 from a model with zero user embeddings, so every
+  servable item ties.  Numbers are reported, not asserted.
 
 Environment knobs: ``REPRO_BENCH_DATASET=tiny`` shrinks the world to
 2,000 x 1,000 for the CI smoke run, and ``REPRO_BENCH_JSON`` names the
@@ -32,6 +39,7 @@ from __future__ import annotations
 import os
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -132,25 +140,60 @@ def _calls(batch: int) -> int:
     return 200 if batch <= 64 else 15
 
 
+def full_row_top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """The kernel's full-row path alone, as if no block prefilter ran."""
+    return engine_index._top_k_full(scores, min(int(k), scores.shape[1]))
+
+
+def prefilter_top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """The kernel with its block prefilter on at every batch size."""
+    cells = engine_index._MIN_PREFILTER_CELLS
+    engine_index._MIN_PREFILTER_CELLS = 0
+    try:
+        return top_k_indices(scores, k)
+    finally:
+        engine_index._MIN_PREFILTER_CELLS = cells
+
+
+SELECTIONS = {"kernel": top_k_indices, "argpartition": argpartition_top_k,
+              "full_path": full_row_top_k, "prefilter": prefilter_top_k}
+
+
+def _timed_call(index: InferenceIndex, users: np.ndarray, select) -> float:
+    engine_index.top_k_indices = select
+    try:
+        start = time.perf_counter()
+        index.top_k(users, TOP_K)
+        return time.perf_counter() - start
+    finally:
+        engine_index.top_k_indices = top_k_indices
+
+
+def _peak_mb(index: InferenceIndex, users: np.ndarray, select) -> float:
+    tracemalloc.start()
+    try:
+        _timed_call(index, users, select)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def time_top_k(index: InferenceIndex, batch: int, seed: int = 0):
-    """Median seconds per ``index.top_k`` call: (kernel, argpartition)."""
+    """Median seconds per ``index.top_k`` call and peak MB, per selection."""
     rng = np.random.default_rng(seed + batch)
-    kernel, baseline = [], []
+    samples = {name: [] for name in SELECTIONS}
     calls = _calls(batch)
     for call in range(calls + 2):  # two warm-up rounds fill the score buffer
         users = rng.choice(index.num_users, size=batch, replace=False)
-        sides = [(kernel, top_k_indices), (baseline, argpartition_top_k)]
-        for samples, select in (sides if call % 2 == 0 else sides[::-1]):
-            engine_index.top_k_indices = select
-            try:
-                start = time.perf_counter()
-                index.top_k(users, TOP_K)
-                elapsed = time.perf_counter() - start
-            finally:
-                engine_index.top_k_indices = top_k_indices
+        names = list(SELECTIONS) if call % 2 == 0 else list(SELECTIONS)[::-1]
+        for name in names:
+            elapsed = _timed_call(index, users, SELECTIONS[name])
             if call >= 2:
-                samples.append(elapsed)
-    return float(np.median(kernel)), float(np.median(baseline)), calls
+                samples[name].append(elapsed)
+    medians = {name: float(np.median(t)) for name, t in samples.items()}
+    peaks = {name: _peak_mb(index, users, select)
+             for name, select in SELECTIONS.items()}
+    return medians, peaks, calls
 
 
 def run_top_k(world: str = None):
@@ -158,36 +201,51 @@ def run_top_k(world: str = None):
     num_users, num_items = WORLDS[world]
     index = build_index(num_users, num_items)
     comparisons = check_parity(index)
+    tied = InferenceIndex(
+        num_users, num_items,
+        user_embeddings=np.zeros_like(index.user_embeddings),
+        item_embeddings=index.item_embeddings, exclusion=index.exclusion)
+    cases = [("random", index, batch) for batch in BATCH_SIZES]
+    cases.append(("all-tied", tied, BATCH_SIZES[-1]))
     rows = []
-    for batch in BATCH_SIZES:
-        kernel, baseline, calls = time_top_k(index, batch)
+    for case, case_index, batch in cases:
+        medians, peaks, calls = time_top_k(case_index, batch)
         rows.append({
             "world": world,
+            "case": case,
             "users": num_users,
             "items": num_items,
             "k": TOP_K,
             "batch": batch,
             "calls": calls,
-            "kernel_us": kernel * 1e6,
-            "argpartition_us": baseline * 1e6,
-            "speedup": baseline / kernel,
-            "users_per_s": batch / kernel,
+            "kernel_us": medians["kernel"] * 1e6,
+            "argpartition_us": medians["argpartition"] * 1e6,
+            "full_path_us": medians["full_path"] * 1e6,
+            "prefilter_us": medians["prefilter"] * 1e6,
+            "speedup": medians["argpartition"] / medians["kernel"],
+            "users_per_s": batch / medians["kernel"],
+            "kernel_peak_mb": peaks["kernel"],
+            "argpartition_peak_mb": peaks["argpartition"],
             "parity_checks": comparisons,
         })
     return rows
 
 
 def format_rows(rows) -> str:
-    header = (f"{'world':<12} {'items':>6} {'batch':>6} {'calls':>6} "
-              f"{'kernel us':>11} {'argpart us':>11} {'speedup':>8} "
-              f"{'users/s':>10}")
+    header = (f"{'world':<12} {'case':<9} {'items':>6} {'batch':>6} "
+              f"{'calls':>6} {'kernel us':>11} {'argpart us':>11} "
+              f"{'full us':>10} {'prefilt us':>11} {'speedup':>8} {'users/s':>10} "
+              f"{'kernel MB':>10} {'argpart MB':>11}")
     lines = [header, "-" * len(header)]
     for row in rows:
         lines.append(
-            f"{row['world']:<12} {row['items']:>6d} {row['batch']:>6d} "
-            f"{row['calls']:>6d} {row['kernel_us']:>11.1f} "
-            f"{row['argpartition_us']:>11.1f} {row['speedup']:>7.2f}x "
-            f"{row['users_per_s']:>10.0f}")
+            f"{row['world']:<12} {row['case']:<9} {row['items']:>6d} "
+            f"{row['batch']:>6d} {row['calls']:>6d} "
+            f"{row['kernel_us']:>11.1f} {row['argpartition_us']:>11.1f} "
+            f"{row['full_path_us']:>10.1f} {row['prefilter_us']:>11.1f} "
+            f"{row['speedup']:>7.2f}x "
+            f"{row['users_per_s']:>10.0f} {row['kernel_peak_mb']:>10.1f} "
+            f"{row['argpartition_peak_mb']:>11.1f}")
     return "\n".join(lines)
 
 

@@ -19,7 +19,6 @@ from any scorer, including test doubles.
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from typing import List, Optional, Sequence, Tuple
@@ -47,10 +46,17 @@ _DENSE_MEMBERSHIP_CELLS = 1 << 26
 #: life of the index.
 _SCORE_BUFFER_MAX_ROWS = 1024
 
-#: Fewest items per block, and fewest scores per batch, for which
-#: :func:`top_k_indices` prefilters by block maxima; see :func:`_block_size`.
+#: Fewest items per block for which :func:`top_k_indices` prefilters by
+#: block maxima; see :func:`_block_size`.
 _MIN_BLOCK = 4
-_MIN_PREFILTER_CELLS = 1 << 13
+
+#: Fewest scores per batch for which :func:`top_k_indices` prefilters.  The
+#: prefilter makes about twice the NumPy calls of the full-row path, which
+#: it repays only on enough scores: ``benchmarks/bench_top_k.py`` measured
+#: the full-row path faster up to 8,000 scores (1,000 items x 8 rows, 2,000
+#: x 8, 5,000 x 3) and the two about level from 20,000 (20,000 x 1, 2,857 x
+#: 8), with the prefilter well ahead from 64 rows or 3 rows of 20,000.
+_MIN_PREFILTER_CELLS = 1 << 14
 
 
 def _expand_slices(counts: np.ndarray,
@@ -110,65 +116,79 @@ class _FlatPairOps:
         return self.dense_rows(users, dtype=bool)
 
 
-def _rank_candidates(values: np.ndarray, rows: np.ndarray, ids: np.ndarray,
-                     num_rows: int, k: int) -> np.ndarray:
-    """The first ``k`` candidates of each row, best first.
-
-    ``values``, ``rows`` and ``ids`` list every row's candidates as one
-    contiguous run, rows ascending and ids ascending within a row, with at
-    least ``k`` candidates per row.  The runs are packed into a
-    ``(num_rows, longest run)`` matrix of negated values padded with NaN, so
-    one stable row-wise argsort ranks by descending value, breaks ties by
-    position (ascending id) and puts NaN last, a real NaN before the padding.
-    """
-    if rows.size == num_rows * k:  # exactly k per row: packed already
-        starts = np.arange(0, rows.size, k)
-        packed = -values.reshape(num_rows, k)
-    else:
-        counts = np.bincount(rows, minlength=num_rows)
-        starts = np.cumsum(counts) - counts
-        packed = np.full((num_rows, int(counts.max())), np.nan,
-                         dtype=np.result_type(values.dtype, np.float32))
-        packed[rows, np.arange(rows.size) - starts[rows]] = -values
-    order = np.argsort(packed, axis=1, kind="stable")[:, :k]
-    return ids[starts[:, None] + order]
-
-
 def _top_k_full(scores: np.ndarray, k: int) -> np.ndarray:
-    """Exact top-``k`` of whole rows: a threshold, then the items above it.
+    """Exact top-``k`` of whole rows: the items above the k-th, then its ties.
 
-    The threshold is the value ``np.partition`` places at the k-th largest
-    position.  ``np.partition`` sorts NaN last, so in a row holding NaN it
-    can land above the k-th largest number, or be NaN itself.  A row where
-    fewer than ``k`` items reach the threshold therefore ranks every item;
-    in every other row the items at or above it hold the top ``k`` and all
-    ties with the k-th.
+    With ``t`` the k-th best score of a row, the row's top ``k`` are every
+    item scoring above ``t`` and, to fill the rest, the lowest ids scoring
+    ``t``.  Exactly ``k`` candidates per row are kept, so a row of ties (a
+    constant model, or a mostly ``-inf`` row with fewer than ``k`` servable
+    items) costs no more than any other; one stable row-wise argsort of
+    their negated scores then ranks them, NaN last.  ``np.partition`` sorts
+    NaN above every number, so in a row holding NaN its ``t`` can overshoot,
+    leaving fewer than ``k`` items at or above it; such rows find ``t``
+    again with NaN read as ``-inf``, and a row with fewer than ``k`` numbers
+    keeps every number and fills the rest with its lowest-id NaNs.
+    """
+    num_rows, width = scores.shape
+    threshold = np.partition(scores, width - k,
+                             axis=1)[:, width - k, None].copy()
+    keep = scores >= threshold
+    count = keep.sum(axis=1)
+    if (count != k).any():
+        keep = _keep_exactly_k(scores, k, threshold, keep, count)
+    rows, ids = np.divmod(np.flatnonzero(keep), width)
+    order = np.argsort(-scores[rows, ids].reshape(num_rows, k), axis=1,
+                       kind="stable")
+    return ids[order + np.arange(0, ids.size, k)[:, None]]
+
+
+def _keep_exactly_k(scores: np.ndarray, k: int, threshold: np.ndarray,
+                    keep: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Fix the rows of ``keep`` (``scores >= threshold``) not holding ``k``.
+
+    Rows holding fewer hold NaN (see :func:`_top_k_full`); rows holding
+    more tie at the threshold and keep only their lowest-id ties.
     """
     width = scores.shape[1]
-    threshold = np.partition(scores, width - k, axis=1)[:, width - k, None]
-    keep = scores >= threshold
-    keep[keep.sum(axis=1) < k] = True
-    rows, cols = np.divmod(np.flatnonzero(keep), width)
-    return _rank_candidates(scores[rows, cols], rows, cols, scores.shape[0], k)
+    few = few_nans = None
+    nan_rows = np.flatnonzero(count < k)
+    if nan_rows.size:
+        numbers = scores[nan_rows]
+        nans = np.isnan(numbers)
+        np.copyto(numbers, -np.inf, where=nans)
+        numbers.partition(width - k, axis=1)
+        threshold[nan_rows] = numbers[:, width - k, None]
+        del numbers
+        np.greater_equal(scores, threshold, out=keep)
+        short = nans.sum(axis=1) > width - k
+        few, few_nans = nan_rows[short], nans[short]
+        keep[few] = True
+        count = keep.sum(axis=1)
+    crowded = np.flatnonzero(count > k)
+    if crowded.size:
+        ties = scores == threshold
+        if few is not None:
+            ties[few] = few_nans
+        ties = ties[crowded]
+        order = ties.astype(np.int32)
+        np.cumsum(order, axis=1, out=order)
+        room = k - count[crowded] + order[:, -1]
+        keep[crowded] &= ~ties | (order <= room[:, None])
+    return keep
 
 
-@functools.lru_cache(maxsize=256)
 def _block_size(width: int, k: int) -> int:
     """Items per block of the top-k prefilter, or 0 for the full-row path.
 
     The prefilter reads every score once, partitions the block maxima and
     gathers ``k`` blocks, so about ``sqrt(width / k)`` items per block keeps
-    both of the later steps small; the largest size down to half of that
-    which divides ``width`` is preferred, as it leaves no tail to append.
-    With fewer than ``_MIN_BLOCK`` items per block (narrow rows or large
-    ``k``) the gathered blocks are most of the row, and the full-row path
-    is cheaper.  Cached: a serving process sees few ``(width, k)`` shapes.
+    both of the later steps small.  With fewer than ``_MIN_BLOCK`` items per
+    block (narrow rows or large ``k``) the gathered blocks are most of the
+    row, and the full-row path is cheaper.
     """
-    target = math.isqrt(width // k)
-    if target < _MIN_BLOCK:
-        return 0
-    return next((size for size in range(target, target // 2, -1)
-                 if width % size == 0), target)
+    size = math.isqrt(width // k)
+    return size if size >= _MIN_BLOCK else 0
 
 
 def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
@@ -187,18 +207,18 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     pruned).  With ``t`` the k-th largest block maximum, at least ``k`` items
     score ``>= t``, so the top ``k`` and every item tied with the k-th lie in
     the blocks whose maximum reaches ``t`` (NaN-only blocks have no such
-    item).  Rows where exactly ``k`` blocks reach ``t`` rank only those
-    blocks and the tail.  Rows where more do (ties, mostly ``-inf`` rows), and
-    rows too narrow for blocks, take the exact full-row path.  Either way a
-    batch costs a fixed number of NumPy calls, no negated copy of ``scores``
-    is made, and index arrays cover the candidate items only.
+    item).  Rows where exactly ``k`` blocks reach ``t`` gather those blocks
+    and the tail, in ascending id order, and rank them with the full-row
+    path.  Rows where more do (ties, mostly ``-inf`` rows), rows too narrow
+    for blocks and batches of fewer than ``_MIN_PREFILTER_CELLS`` scores
+    take the full-row path over the whole row.  Either
+    way a batch costs a fixed number of NumPy calls, no negated copy of
+    ``scores`` is made, and index arrays hold ``k`` items per row.
     """
     num_rows, width = scores.shape
     k = min(int(k), width)
     if k <= 0 or num_rows == 0:
         return np.empty((num_rows, max(k, 0)), dtype=np.int64)
-    # Below _MIN_PREFILTER_CELLS scores per batch the prefilter's extra NumPy
-    # calls cost more than they save.
     block = (_block_size(width, k)
              if num_rows * width >= _MIN_PREFILTER_CELLS else 0)
     if not block:
@@ -213,13 +233,13 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     keep = maxima >= threshold
     pruned = keep.sum(axis=1) == k
     rows = np.flatnonzero(pruned)
+    if rows.size == 0:
+        return _top_k_full(scores, k)
     if rows.size < num_rows:
         top = np.empty((num_rows, k), dtype=np.int64)
         full = np.flatnonzero(~pruned)
         top[full] = _top_k_full(scores[full], k)
-        if rows.size == 0:
-            return top
-        keep, threshold = keep[rows], threshold[rows]
+        keep = keep[rows]
     blocks = (np.flatnonzero(keep) % num_blocks).reshape(rows.size, k)
     # Column i*k + j holds item i*num_blocks + blocks[j]: ids ascend along
     # each row, and the tail's ids follow.
@@ -227,17 +247,15 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
         rows.size, block * k)
     if split < width:
         kept = np.concatenate([kept, scores[rows, split:]], axis=1)
-    cand_rows, cols = np.divmod(np.flatnonzero(kept >= threshold),
-                                kept.shape[1])
+    cols = _top_k_full(kept, k)
     offset, slot = np.divmod(cols, k)
-    ids = offset * num_blocks + blocks[cand_rows, slot]
+    ids = offset * num_blocks + blocks.ravel()[
+        slot + np.arange(0, blocks.size, k)[:, None]]
     if split < width:
         ids = np.where(offset < block, ids, cols + (split - block * k))
-    ranked = _rank_candidates(kept[cand_rows, cols], cand_rows, ids,
-                              rows.size, k)
     if rows.size == num_rows:
-        return ranked
-    top[rows] = ranked
+        return ids
+    top[rows] = ids
     return top
 
 

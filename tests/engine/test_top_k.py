@@ -6,6 +6,7 @@ oracle sorts each row on its own under that order, so any tie, mask or NaN
 the block prefilter mishandles shows as an unequal array.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -147,6 +148,25 @@ class TestTopKExactness:
         scores[0, :19_990] = -np.inf       # fewer than k servable items
         scores[1, 100:140] = scores[1].max()  # ties across many blocks
         assert_exact(scores, 20)
+
+    @pytest.mark.parametrize("fill", [0.0, -np.inf, np.nan])
+    def test_all_tied_rows_stay_small(self, fill):
+        """A row of ties keeps k candidates, not the whole row.
+
+        A constant model (or a fully masked or NaN row) ties every item at
+        the k-th score; the top k are then the k lowest ids, and the full-row
+        path must not build row-sized index or sort arrays to find them.
+        """
+        scores = np.full((64, 20_000), fill)
+        expected = np.tile(np.arange(20), (64, 1))
+        tracemalloc.start()
+        try:
+            top = top_k_indices(scores, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(top, expected)
+        assert peak < 1.5 * scores.nbytes
 
 
 _VALUES = st.sampled_from([0.0, 1.0, 2.0, -1.5, np.inf, -np.inf, np.nan])
