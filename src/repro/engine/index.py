@@ -52,11 +52,12 @@ _MIN_BLOCK = 4
 
 #: Fewest scores per batch for which :func:`top_k_indices` prefilters.  The
 #: prefilter makes about twice the NumPy calls of the full-row path, which
-#: it repays only on enough scores: ``benchmarks/bench_top_k.py`` measured
-#: the full-row path faster up to 8,000 scores (1,000 items x 8 rows, 2,000
-#: x 8, 5,000 x 3) and the two about level from 20,000 (20,000 x 1, 2,857 x
-#: 8), with the prefilter well ahead from 64 rows or 3 rows of 20,000.
-_MIN_PREFILTER_CELLS = 1 << 14
+#: it repays only on enough scores.  ``benchmarks/bench_top_k.py`` (both
+#: paths forced on, k = 20, a 2-core x86 VM) read the full-row path faster
+#: at 1,000-8,000 scores (1-8 rows of 1,000 items) and at 20,000 (one row
+#: of 20,000, by about 4%), the two level at 64,000 (64 rows of 1,000),
+#: and the prefilter ahead from 60,000 (3 rows of 20,000) on.
+_MIN_PREFILTER_CELLS = 1 << 15
 
 
 def _expand_slices(counts: np.ndarray,
@@ -123,8 +124,8 @@ def _top_k_full(scores: np.ndarray, k: int) -> np.ndarray:
     item scoring above ``t`` and, to fill the rest, the lowest ids scoring
     ``t``.  Exactly ``k`` candidates per row are kept, so a row of ties (a
     constant model, or a mostly ``-inf`` row with fewer than ``k`` servable
-    items) costs no more than any other; one stable row-wise argsort of
-    their negated scores then ranks them, NaN last.  ``np.partition`` sorts
+    items) never indexes or sorts more than ``k`` items; one stable
+    row-wise argsort of their negated scores ranks them, NaN last.  ``np.partition`` sorts
     NaN above every number, so in a row holding NaN its ``t`` can overshoot,
     leaving fewer than ``k`` items at or above it; such rows find ``t``
     again with NaN read as ``-inf``, and a row with fewer than ``k`` numbers
@@ -211,9 +212,9 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     and the tail, in ascending id order, and rank them with the full-row
     path.  Rows where more do (ties, mostly ``-inf`` rows), rows too narrow
     for blocks and batches of fewer than ``_MIN_PREFILTER_CELLS`` scores
-    take the full-row path over the whole row.  Either
-    way a batch costs a fixed number of NumPy calls, no negated copy of
-    ``scores`` is made, and index arrays hold ``k`` items per row.
+    take the full-row path over the whole row.  Either way a batch costs a
+    fixed number of NumPy calls, no negated copy of ``scores`` is made, and
+    index arrays hold ``k`` items per row.
     """
     num_rows, width = scores.shape
     k = min(int(k), width)
