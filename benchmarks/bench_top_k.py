@@ -19,12 +19,13 @@ per-shard lists and ``RankingEvaluator``.  This script checks two things:
   the timing baseline), and for each of the kernel's two paths forced on
   every batch: the full-row path and the block prefilter.  The last two
   show each side of the kernel's ``_MIN_PREFILTER_CELLS`` cut-over, which
-  the smoke world's batches of 1-8 rows and 64-1024 rows straddle.  Calls
-  alternate between the four and each side reports its median.  One more call per side reports the
-  peak NumPy allocation of the selection (``tracemalloc``; the process's
-  peak RSS is a high-water mark that cannot isolate one call).  A last row
-  serves a batch of 1024 from a model with zero user embeddings, so every
-  servable item ties.  Numbers are reported, not asserted.
+  both worlds straddle (one row of 20,000 items and 1-8 rows of 1,000 fall
+  below it).  Calls alternate between the four and each side reports its
+  median.  One more call per side reports the peak NumPy allocation of the
+  selection (``tracemalloc``; the process's peak RSS is a high-water mark
+  that cannot isolate one call).  A last row serves a batch of 1024 from a
+  model with zero user embeddings, so every servable item ties.  Numbers
+  are reported, not asserted.
 
 Environment knobs: ``REPRO_BENCH_DATASET=tiny`` shrinks the world to
 2,000 x 1,000 for the CI smoke run, and ``REPRO_BENCH_JSON`` names the
