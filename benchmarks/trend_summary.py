@@ -82,6 +82,11 @@ KEY_METRICS = {
          "lexsort-oracle parity gated"),
         ("parity comparisons", "parity_checks", "max", "all bit-exact"),
     ],
+    "bench_train_kernels": [
+        ("speedup vs whole-array", "speedup", "max",
+         "whole-array parity gated (np.array_equal)"),
+        ("parity comparisons", "parity_checks", "max", "all bit-exact"),
+    ],
     "bench_fault_tolerance": [
         ("availability under kills", "availability", "min",
          "= 1.0 while a replica survives"),

@@ -11,6 +11,7 @@ from typing import Dict, Iterable, List
 import numpy as np
 
 from .module import Parameter
+from .tensor import ROW_BLOCK, row_blocks
 
 __all__ = ["Optimizer", "SGD", "Adam"]
 
@@ -81,24 +82,47 @@ class Adam(Optimizer):
         self._second_moment: Dict[int, np.ndarray] = {}
 
     def step(self) -> None:
+        """One Adam update of every parameter that has a gradient.
+
+        The moments and ``param.data`` are updated in place, one block of
+        :data:`~repro.autograd.tensor.ROW_BLOCK` rows at a time (a 0-d or
+        1-D parameter is one row), with the elementwise ops of
+        ``m = b1·m + (1-b1)·g``, ``v = b2·v + ((1-b2)·g)·g`` and
+        ``p = p - (lr·m̂) / (√v̂ + eps)`` in that order, so every value is
+        bit-identical to the whole-array formula.  An array obtained from
+        ``param.data`` before the step sees the update; take a copy
+        (``state_dict()`` does) to keep the old values.
+        """
         self._step_count += 1
         bias1 = 1.0 - self.beta1 ** self._step_count
         bias2 = 1.0 - self.beta2 ** self._step_count
         for param in self.parameters:
             if param.grad is None:
                 continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
             m = self._first_moment.get(id(param))
             v = self._second_moment.get(id(param))
             if m is None:
-                m = np.zeros_like(param.data)
-                v = np.zeros_like(param.data)
-            m = self.beta1 * m + (1.0 - self.beta1) * grad
-            v = self.beta2 * v + (1.0 - self.beta2) * grad * grad
-            self._first_moment[id(param)] = m
-            self._second_moment[id(param)] = v
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                m = self._first_moment[id(param)] = np.zeros_like(param.data)
+                v = self._second_moment[id(param)] = np.zeros_like(param.data)
+            data, grad, m, v = np.atleast_2d(param.data, param.grad, m, v)
+            shape = (min(ROW_BLOCK, data.shape[0]),) + data.shape[1:]
+            term, denom = np.empty(shape, data.dtype), np.empty(shape, data.dtype)
+            decayed = np.empty(shape, data.dtype) if self.weight_decay else None
+            for rows in row_blocks(data.shape[0]):
+                p, g, m_rows, v_rows = data[rows], grad[rows], m[rows], v[rows]
+                t, d = term[:len(p)], denom[:len(p)]
+                if self.weight_decay:
+                    g = np.add(g, np.multiply(self.weight_decay, p, out=t),
+                               out=decayed[:len(p)])
+                m_rows *= self.beta1
+                m_rows += np.multiply(1.0 - self.beta1, g, out=t)
+                v_rows *= self.beta2
+                np.multiply(1.0 - self.beta2, g, out=t)
+                v_rows += np.multiply(t, g, out=t)
+                np.divide(m_rows, bias1, out=t)
+                t *= self.lr
+                np.divide(v_rows, bias2, out=d)
+                np.sqrt(d, out=d)
+                d += self.eps
+                t /= d
+                p -= t

@@ -23,14 +23,26 @@ Design notes
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+import scipy.sparse as sp
 
 ArrayLike = Union[np.ndarray, float, int, Sequence[float], "Tensor"]
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "no_grad", "is_grad_enabled", "ROW_BLOCK", "row_blocks"]
+
+#: Rows per block of the (N, T) training kernels (the layer refinement and
+#: ``Adam.step``): their row-wise ops run on one block at a time into arrays
+#: allocated once per call, instead of on whole-matrix temporaries.
+ROW_BLOCK = 512
+
+
+def row_blocks(rows: int) -> Iterable[slice]:
+    """Consecutive slices of at most :data:`ROW_BLOCK` rows covering ``rows``."""
+    return (slice(start, start + ROW_BLOCK) for start in range(0, rows, ROW_BLOCK))
 
 
 class _GradMode:
@@ -63,10 +75,11 @@ def is_grad_enabled() -> bool:
 class _BackwardPass(threading.local):
     """Generation number of the ``backward()`` running in this thread (0: none).
 
-    :meth:`Tensor._accumulate` stamps a gradient array it allocates itself
-    with the current generation and adds later contributions of the same
-    pass into it in place.  Generations are never reused, so ownership ends
-    when the pass that allocated the array returns.
+    A gradient array allocated during a pass (by :meth:`Tensor._accumulate`
+    or :meth:`Tensor._writable_grad`) is stamped with the current generation
+    and takes later contributions of the same pass in place.  Generations
+    are never reused, so ownership ends when the pass that allocated the
+    array returns.
     """
 
     generation: int = 0
@@ -80,6 +93,24 @@ def _as_array(value: ArrayLike, dtype=np.float64) -> np.ndarray:
     if isinstance(value, Tensor):
         return value.data
     return np.asarray(value, dtype=dtype)
+
+
+def _gathered_row_sums(indices: np.ndarray, grad: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of ``indices`` and, per row, the sum of its ``grad`` rows.
+
+    Each sum starts from zero and adds the row's gradients in index order,
+    as ``np.add.at`` into zeros does: a CSR matrix of ones whose row r lists,
+    in increasing order, the positions where ``indices`` is ``rows[r]``,
+    times ``grad`` (scipy's product adds ``1.0·g`` term by term into zeros).
+    """
+    order = np.argsort(indices, kind="stable")
+    ordered = indices[order]
+    starts = np.flatnonzero(np.diff(ordered, prepend=ordered[:1] - 1))
+    rows = ordered[starts]
+    selector = sp.csr_matrix(
+        (np.ones(order.size, dtype=grad.dtype), order, np.append(starts, order.size)),
+        shape=(rows.size, order.size))
+    return rows, selector @ grad.reshape(order.size, math.prod(grad.shape[1:]))
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -187,10 +218,13 @@ class Tensor:
 
         A first contribution is stored by reference when it is a writable
         base array: the caller may hand the same array to several parents
-        (``__add__`` does), so it is never written in place.  Any array this
-        method allocates itself during the running ``backward()`` takes the
-        later contributions of that pass in place; the sums are the same
-        IEEE additions in the same order as ``self.grad + grad``.
+        (``__add__`` does), so it is never written in place.  Only an array
+        allocated during the running ``backward()`` is written in place: by
+        this method, which adds the later contributions of that pass into an
+        array it allocated (the same IEEE additions in the same order as
+        ``self.grad + grad``), and by the backward closures that take the
+        array from :meth:`_writable_grad` (:meth:`gather_rows`,
+        ``refine_layer`` and ``PropagationEngine.apply``).
         """
         grad = np.asarray(grad, dtype=self.data.dtype)
         generation = _BACKWARD.generation
@@ -206,6 +240,26 @@ class Tensor:
         else:
             self.grad = self.grad + grad
             self._grad_owner = generation
+
+    def _writable_grad(self) -> Tuple[np.ndarray, bool]:
+        """``self.grad`` as an array the running ``backward()`` owns.
+
+        Returns ``(array, fresh)`` and makes the array ``self.grad``.  With
+        no gradient yet it is a new, uninitialised array (``fresh``), so the
+        caller's first contribution must be assigned rather than added.  A
+        gradient the running pass does not own is copied first: it may be a
+        first contribution another node holds too.
+        """
+        generation = _BACKWARD.generation
+        if self.grad is None:
+            self.grad = np.empty_like(self.data)
+            fresh = True
+        else:
+            fresh = False
+            if not generation or self._grad_owner != generation:
+                self.grad = self.grad.copy()
+        self._grad_owner = generation
+        return self.grad, fresh
 
     def backward(self, grad: Optional[ArrayLike] = None) -> None:
         """Back-propagate from this tensor through the recorded graph.
@@ -522,15 +576,27 @@ class Tensor:
         Equivalent to ``self[indices]`` for a 1-D integer index array but kept
         as an explicit method because it is the hot path of every embedding
         model in the library.
+
+        The backward sums each gathered row's gradients from zero, in index
+        order, into a compact (unique rows, T) buffer, and adds that buffer
+        into those rows of ``self.grad``: the IEEE additions of
+        ``self.grad + scatter``, except that untouched rows skip a ``+ 0.0``.
+        A first contribution is the scatter into zeros.
         """
         indices = np.asarray(indices, dtype=np.int64)
         data = self.data[indices]
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                full = np.zeros_like(self.data)
-                np.add.at(full, indices, grad)
-                self._accumulate(full)
+            if not self.requires_grad:
+                return
+            rows, sums = _gathered_row_sums(indices % len(self.data), grad)
+            sums = sums.reshape((rows.size,) + self.shape[1:])
+            target, fresh = self._writable_grad()
+            if fresh:
+                target.fill(0.0)
+                target[rows] = sums
+            else:
+                target[rows] += sums
 
         return Tensor._make(data, (self,), backward)
 

@@ -18,7 +18,14 @@ the same floating-point operations, in the same order, as the composition
 ``scale_rows(hidden, row_cosine_similarity(hidden, ego, eps) + eps)`` of
 :mod:`repro.autograd.functional` (norms as :meth:`Tensor.norm` computes them,
 the denominator floored by ``clip``), so results are bit-identical to that
-chain while no (N, T) intermediate outlives the forward pass.
+chain.  Besides the two input layers, the backward keeps only (N, 1)
+columns: both layers' norms, the dot products, the norm product, the floored
+denominator and the row weights.  Both passes run their (N, T) products on
+one block of :data:`~repro.autograd.tensor.ROW_BLOCK` rows at a time, into a
+block-sized scratch array and outputs allocated once per call; the ego
+layer's gradient terms are added into a gradient array the running
+``backward()`` owns.  Each op is elementwise or a per-row sum, so a block
+goes through the same IEEE operations as the whole matrix.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import numpy as np
 
 from ..autograd import Tensor
 from ..autograd.functional import row_cosine_similarity
+from ..autograd.tensor import ROW_BLOCK, row_blocks
 
 __all__ = ["RowNorms", "refine_layer", "refinement_similarity", "row_norms"]
 
@@ -47,9 +55,19 @@ class RowNorms(NamedTuple):
     rsqrt: np.ndarray
 
 
+def _row_dots(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``(left * right).sum(axis=1, keepdims=True)``, one row block at a time."""
+    dots = np.empty((left.shape[0], 1), dtype=left.dtype)
+    scratch = np.empty((min(ROW_BLOCK, left.shape[0]),) + left.shape[1:], dtype=left.dtype)
+    for rows in row_blocks(left.shape[0]):
+        product = np.multiply(left[rows], right[rows], out=scratch[:len(dots[rows])])
+        product.sum(axis=1, keepdims=True, out=dots[rows])
+    return dots
+
+
 def row_norms(matrix: np.ndarray) -> RowNorms:
     """Row norms of ``matrix`` for :func:`refine_layer`."""
-    squared = (matrix * matrix).sum(axis=1, keepdims=True) + _NORM_FLOOR
+    squared = _row_dots(matrix, matrix) + _NORM_FLOOR
     return RowNorms(squared ** 0.5, squared ** -0.5)
 
 
@@ -91,7 +109,7 @@ def refine_layer(hidden: Tensor, ego: Tensor, eps: float = 1e-8,
     if ego_norms is None:
         ego_norms = row_norms(e)
     hidden_norms = row_norms(h)
-    dot = (h * e).sum(axis=1, keepdims=True)
+    dot = _row_dots(h, e)
     norm_product = hidden_norms.norm * ego_norms.norm
     denom = np.clip(norm_product, eps, None)
     similarity = dot / denom
@@ -100,25 +118,36 @@ def refine_layer(hidden: Tensor, ego: Tensor, eps: float = 1e-8,
     def backward(grad: np.ndarray) -> None:
         # Reverse order of the chain: scale_rows, the quotient, the clip,
         # the norm product, then each norm's power and square-sum.
-        grad_weight = (grad * h).sum(axis=1, keepdims=True)
+        grad_weight = _row_dots(grad, h)
         grad_dot = grad_weight / denom
         grad_norm_product = (-grad_weight * dot / denom ** 2) * (norm_product >= eps)
         # Each parent gets its terms as separate additions in the chain's
         # order: (g + t) + t is not g + 2t in floating point.
+        scratch = np.empty((min(ROW_BLOCK, h.shape[0]),) + h.shape[1:], dtype=h.dtype)
         if hidden.requires_grad:
             grad_squared = grad_norm_product * ego_norms.norm * 0.5 * hidden_norms.rsqrt
-            square_term = grad_squared * h
-            grad_hidden = grad * weight
-            grad_hidden += square_term
-            grad_hidden += square_term
-            grad_hidden += grad_dot * e
+            grad_hidden = np.empty_like(h)
+            for rows in row_blocks(h.shape[0]):
+                out = grad_hidden[rows]
+                term = scratch[:len(out)]
+                np.multiply(grad[rows], weight[rows], out=out)
+                np.multiply(grad_squared[rows], h[rows], out=term)
+                out += term
+                out += term
+                out += np.multiply(grad_dot[rows], e[rows], out=term)
             hidden._accumulate(grad_hidden)
         if ego.requires_grad:
             grad_squared = grad_norm_product * hidden_norms.norm * 0.5 * ego_norms.rsqrt
-            square_term = grad_squared * e
-            ego._accumulate(square_term)
-            ego._accumulate(square_term)
-            ego._accumulate(grad_dot * h)
+            grad_ego, fresh = ego._writable_grad()
+            for rows in row_blocks(h.shape[0]):
+                out = grad_ego[rows]
+                term = np.multiply(grad_squared[rows], e[rows], out=scratch[:len(out)])
+                if fresh:
+                    out[...] = term
+                else:
+                    out += term
+                out += term
+                out += np.multiply(grad_dot[rows], h[rows], out=term)
 
     refined = Tensor._make(h * weight, (hidden, ego), backward)
     return refined, Tensor(similarity)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Adam, Module, Parameter, SGD, Tensor, init
+from repro.autograd.tensor import ROW_BLOCK
 
 
 class _TinyModel(Module):
@@ -161,3 +162,75 @@ class TestOptimizers:
     def test_invalid_betas_rejected(self):
         with pytest.raises(ValueError):
             Adam([Parameter(np.ones(1))], lr=0.1, betas=(1.5, 0.9))
+
+
+def _whole_array_adam(values, grads, lr, betas, eps, weight_decay):
+    """The whole-array Adam formula: the parameter and both moments per step."""
+    beta1, beta2 = betas
+    param, m, v = values.copy(), np.zeros_like(values), np.zeros_like(values)
+    history = []
+    for step, grad in enumerate(grads, start=1):
+        if weight_decay:
+            grad = grad + weight_decay * param
+        m = beta1 * m + (1.0 - beta1) * grad
+        v = beta2 * v + (1.0 - beta2) * grad * grad
+        m_hat = m / (1.0 - beta1 ** step)
+        v_hat = v / (1.0 - beta2 ** step)
+        param = param - lr * m_hat / (np.sqrt(v_hat) + eps)
+        history.append((param, m, v))
+    return history
+
+
+class _Shapes(Module):
+    """A 2-D, a 1-D and a 0-d parameter whose row count ROW_BLOCK does not divide."""
+
+    def __init__(self, rng):
+        super().__init__()
+        rows = 2 * ROW_BLOCK + 37
+        self.matrix = Parameter(rng.normal(size=(rows, 5)))
+        self.vector = Parameter(rng.normal(size=rows))
+        self.scalar = Parameter(np.array(0.75))
+
+
+class TestAdamRowBlocks:
+    """``Adam.step`` updates in place, row block by row block, bit for bit."""
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+    def test_matches_whole_array_formula(self, rng, weight_decay):
+        model = _Shapes(rng)
+        params = list(model.parameters())
+        assert params[0].shape[0] % ROW_BLOCK != 0
+        initial = [param.data.copy() for param in params]
+        grads = [[rng.normal(size=param.shape) for _ in range(4)] for param in params]
+        # Zero gradients and gradients under eps in some rows.
+        grads[0][1][3] = 0.0
+        grads[0][2][ROW_BLOCK + 1] = 1e-12
+        opt = Adam(params, lr=0.05, betas=(0.8, 0.99), eps=1e-8, weight_decay=weight_decay)
+        for step in range(4):
+            for param, param_grads in zip(params, grads):
+                param.grad = param_grads[step]
+            opt.step()
+        for param, start, param_grads in zip(params, initial, grads):
+            expected, m, v = _whole_array_adam(start, param_grads, lr=0.05, betas=(0.8, 0.99),
+                                                eps=1e-8, weight_decay=weight_decay)[-1]
+            assert np.array_equal(param.data, expected)
+            assert np.array_equal(opt._first_moment[id(param)], m)
+            assert np.array_equal(opt._second_moment[id(param)], v)
+
+    def test_updates_parameter_in_place(self, rng):
+        param = Parameter(rng.normal(size=(ROW_BLOCK + 3, 4)))
+        data = param.data
+        param.grad = rng.normal(size=param.shape)
+        Adam([param], lr=0.1).step()
+        assert param.data is data
+
+    def test_state_dict_taken_before_step_is_unchanged(self, rng):
+        model = _Shapes(rng)
+        before = model.state_dict()
+        snapshot = {name: value.copy() for name, value in before.items()}
+        for param in model.parameters():
+            param.grad = rng.normal(size=param.shape)
+        Adam(list(model.parameters()), lr=0.1).step()
+        for name, value in before.items():
+            assert np.array_equal(value, snapshot[name])
+            assert not np.array_equal(value, dict(model.named_parameters())[name].data)

@@ -129,6 +129,89 @@ class TestGradientOwnership:
             assert np.array_equal(got, want)
 
 
+class TestGatherRowsBackward:
+    """``gather_rows``' row-sparse backward against ``zeros_like`` + ``np.add.at`` + add."""
+
+    indices = np.array([3, 0, 3, 5, 3, 0, 6])
+
+    @staticmethod
+    def scatter(like, indices, grad):
+        full = np.zeros_like(like)
+        np.add.at(full, indices, grad)
+        return full
+
+    @pytest.fixture()
+    def paths(self, monkeypatch):
+        """Records, per ``_writable_grad`` call, whether the grad was none, owned or held."""
+        from repro.autograd import tensor as tensor_module
+        seen = []
+        original = Tensor._writable_grad
+
+        def spy(tensor):
+            generation = tensor_module._BACKWARD.generation
+            if tensor.grad is None:
+                seen.append("first")
+            else:
+                seen.append("owned" if tensor._grad_owner == generation else "held")
+            return original(tensor)
+
+        monkeypatch.setattr(Tensor, "_writable_grad", spy)
+        return seen
+
+    def test_first_contribution(self, rng, paths):
+        t = Tensor(rng.normal(size=(8, 3)), requires_grad=True)
+        upstream = rng.normal(size=(len(self.indices), 3))
+        (t.gather_rows(self.indices) * upstream).sum().backward()
+        assert paths == ["first"]
+        assert np.array_equal(t.grad, self.scatter(t.data, self.indices, upstream))
+
+    def test_owned_existing_grad(self, rng, paths):
+        t = Tensor(rng.normal(size=(8, 3)), requires_grad=True)
+        other = np.array([6, 6, 1, 3])
+        first, second = rng.normal(size=(len(other), 3)), rng.normal(size=(len(self.indices), 3))
+        loss = (t.gather_rows(self.indices) * second).sum() + (t.gather_rows(other) * first).sum()
+        loss.backward()
+        assert paths == ["first", "owned"]
+        expected = (self.scatter(t.data, other, first)
+                    + self.scatter(t.data, self.indices, second))
+        assert np.array_equal(t.grad, expected)
+
+    def test_unowned_existing_grad_is_copied(self, rng, paths):
+        t = Tensor(rng.normal(size=(8, 3)), requires_grad=True)
+        (t * 2.0).sum().backward()
+        held = t.grad
+        snapshot = held.copy()
+        upstream = rng.normal(size=(len(self.indices), 3))
+        (t.gather_rows(self.indices) * upstream).sum().backward()
+        assert paths == ["held"]
+        assert np.array_equal(held, snapshot)
+        assert np.array_equal(t.grad, snapshot + self.scatter(t.data, self.indices, upstream))
+
+    def test_shared_first_contribution_is_not_written(self, rng, paths):
+        """A sum hands one array to both operands, as the LayerGCN readout does."""
+        a = Tensor(rng.normal(size=(8, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=(8, 3)), requires_grad=True)
+        weights = rng.normal(size=(8, 3))
+        upstream = rng.normal(size=(len(self.indices), 3))
+        loss = (a.gather_rows(self.indices) * upstream).sum() + ((a + b) * weights).sum()
+        loss.backward()
+        assert paths == ["held"]
+        assert np.array_equal(b.grad, weights)
+        assert np.array_equal(a.grad, weights + self.scatter(a.data, self.indices, upstream))
+
+    def test_one_dimensional_and_negative_indices(self, rng):
+        t = Tensor(rng.normal(size=6), requires_grad=True)
+        indices = np.array([-1, 5, 2, -4, 0])
+        upstream = rng.normal(size=len(indices))
+        (t.gather_rows(indices) * upstream).sum().backward()
+        assert np.array_equal(t.grad, self.scatter(t.data, indices, upstream))
+
+    def test_empty_indices(self):
+        t = Tensor(np.ones((4, 2)), requires_grad=True)
+        (t.gather_rows(np.array([], dtype=np.int64)).sum() + (t * 3.0).sum()).backward()
+        assert np.array_equal(t.grad, np.full((4, 2), 3.0))
+
+
 class TestArithmeticGradients:
     def test_add(self, rng):
         check_gradient(lambda t: (t + 3.0).sum(), rng.normal(size=(3, 4)))
