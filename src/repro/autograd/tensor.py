@@ -223,8 +223,8 @@ class Tensor:
         this method, which adds the later contributions of that pass into an
         array it allocated (the same IEEE additions in the same order as
         ``self.grad + grad``), and by the backward closures that take the
-        array from :meth:`_writable_grad` (:meth:`gather_rows`,
-        ``refine_layer`` and ``PropagationEngine.apply``).
+        array from :meth:`_writable_grad` (:meth:`gather_rows` and
+        ``refine_layer``).
         """
         grad = np.asarray(grad, dtype=self.data.dtype)
         generation = _BACKWARD.generation

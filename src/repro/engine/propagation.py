@@ -173,22 +173,15 @@ class PropagationEngine:
     def apply(self, dense: Tensor) -> Tensor:
         """Differentiable product ``A @ dense`` with a fixed sparse operand.
 
-        The backward pass pushes ``A.T @ grad`` to ``dense``: written straight
-        into a gradient array the running ``backward()`` allocates when
-        ``dense`` has none yet (so later contributions add into it in
-        place), added into its gradient otherwise.  Output arrays are freshly
-        allocated here (never the scratch buffer): the returned tensor owns
-        its data for the lifetime of the autograd graph.
+        The backward pass pushes ``A.T @ grad`` to ``dense``.  Output arrays
+        are freshly allocated here (never the scratch buffer): the returned
+        tensor owns its data for the lifetime of the autograd graph.
         """
         data = self.forward(dense.data)
 
         def backward(grad: np.ndarray) -> None:
             if dense.requires_grad:
-                target, fresh = dense._writable_grad()
-                if fresh:
-                    self.backward(grad, out=target)
-                else:
-                    target += self.backward(grad)
+                dense._accumulate(self.backward(grad))
 
         return Tensor._make(data, (dense,), backward)
 

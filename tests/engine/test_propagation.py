@@ -114,21 +114,6 @@ class TestAutograd:
         second = engine.apply(dense)
         assert first.data is not second.data
 
-    def test_apply_backward_sums_as_out_of_place(self, operator, rng):
-        """A.T @ g goes into the gradient with the additions of ``grad + A.T @ g``."""
-        engine = PropagationEngine(operator)
-        values, weights = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
-        upstream = rng.normal(size=(7, 2))
-        # Propagation first: its product is the gradient, then takes ``* 3`` in place.
-        dense = Tensor(values, requires_grad=True)
-        ((dense * 3.0).sum() + (engine.apply(dense) * upstream).sum()).backward()
-        assert np.array_equal(dense.grad, engine.backward(upstream) + 3.0)
-        # Shared first contribution (``+`` hands one array to both): never written.
-        dense, other = Tensor(values, requires_grad=True), Tensor(values, requires_grad=True)
-        ((engine.apply(dense) * upstream).sum() + ((dense + other) * weights).sum()).backward()
-        assert np.array_equal(other.grad, weights)
-        assert np.array_equal(dense.grad, weights + engine.backward(upstream))
-
     def test_callable_alias(self, operator, rng):
         engine = PropagationEngine(operator)
         dense = Tensor(rng.normal(size=(5, 2)))
