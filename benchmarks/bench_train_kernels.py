@@ -180,6 +180,19 @@ def check_parity(rows: int, dim: int, seed: int = 0) -> int:
             comparisons += 1
         if ego_grad is not None:
             assert np.array_equal(ego_grad, before), "a held ego gradient was written"
+    # Two layers refined against one ego layer, as LayerGCN stacks them: the
+    # backward that runs second adds into the gradient the first allocated.
+    other, _, other_upstream = refinement_inputs(rows, dim, seed + 3)
+    first, second = Tensor(hidden, requires_grad=True), Tensor(other, requires_grad=True)
+    shared = Tensor(ego, requires_grad=True)
+    loss = ((refine_layer(first, shared, eps=EPS)[0] * upstream).sum()
+            + (refine_layer(second, shared, eps=EPS)[0] * other_upstream).sum())
+    loss.backward()
+    ego_grad = whole_array_refine_backward(other_upstream, other, ego,
+                                           whole_array_refine(other, ego)[2])[1]
+    ego_grad = whole_array_refine_backward(upstream, hidden, ego, saved, ego_grad=ego_grad)[1]
+    assert np.array_equal(shared.grad, ego_grad), f"stacked refine ego.grad ({rows} rows) diverges"
+    comparisons += 1
 
     rng = np.random.default_rng(seed + 2)
     for weight_decay in (0.0, 1e-2):

@@ -60,7 +60,8 @@ def _row_dots(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     dots = np.empty((left.shape[0], 1), dtype=left.dtype)
     scratch = np.empty((min(ROW_BLOCK, left.shape[0]),) + left.shape[1:], dtype=left.dtype)
     for rows in row_blocks(left.shape[0]):
-        product = np.multiply(left[rows], right[rows], out=scratch[:len(dots[rows])])
+        block = left[rows]
+        product = np.multiply(block, right[rows], out=scratch[:len(block)])
         product.sum(axis=1, keepdims=True, out=dots[rows])
     return dots
 
