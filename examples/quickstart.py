@@ -150,18 +150,23 @@ def main() -> None:
     # 10. Async micro-batching frontend: production traffic is many
     #     concurrent single-user requests, not pre-formed batches.  The
     #     frontend coalesces concurrent `await recommend(...)` calls (and
-    #     `await ingest(...)` events) into shared scoring batches within a
-    #     batch_window_ms deadline — results stay bit-identical to calling
-    #     service.top_k directly, and a bounded queue sheds load above
-    #     max_pending.  Same flow on the CLI:
-    #       repro recommend --serve --batch-window-ms 5 --max-batch-size 32
+    #     `await ingest(...)` events) into shared scoring batches: a miss
+    #     goes to the worker as soon as it is free, so requests submitted
+    #     together (or while a batch runs) share one service.top_k call of
+    #     up to max_batch_size rows.  A bounded queue sheds load above
+    #     max_pending.  The 32 requests below (bar LRU hits) form one
+    #     batch, so they match a direct 32-user service.top_k bit for bit
+    #     (a lone request is scored by gemv instead of gemm and can swap
+    #     near-tied items).
+    #     Same flow on the CLI:
+    #       repro recommend --serve --max-batch-size 32
     import asyncio
 
     from repro.engine import AsyncRecommendationFrontend
 
     async def concurrent_clients():
         async with AsyncRecommendationFrontend(
-                service, max_batch_size=32, batch_window_ms=5.0) as frontend:
+                service, max_batch_size=32) as frontend:
             rows = await asyncio.gather(
                 *[frontend.recommend(user, 5) for user in range(32)])
             return rows, frontend.stats()

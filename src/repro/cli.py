@@ -170,12 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     recommend.add_argument("--serve", action="store_true",
                            help="serve the requested users concurrently "
                                 "through the async micro-batching frontend "
-                                "(results stay bit-identical to direct "
-                                "serving)")
-    recommend.add_argument("--batch-window-ms", type=float, default=2.0,
-                           dest="batch_window_ms", metavar="MS",
-                           help="with --serve: max time the first waiter of a "
-                                "batch is held before scoring (default 2.0)")
+                                "(each miss goes to the worker as soon as it "
+                                "is free; results match direct serving)")
     recommend.add_argument("--max-batch-size", type=int, default=64,
                            dest="max_batch_size", metavar="N",
                            help="with --serve: coalesce at most N requests "
@@ -370,8 +366,9 @@ def _serve_recommendations(service, users, args):
     """Serve the requested users through the async micro-batching frontend.
 
     All users are submitted concurrently, so they coalesce into shared
-    scoring batches exactly as concurrent clients would; the rows come back
-    bit-identical to ``service.top_k`` (the frontend's core invariant).
+    scoring batches exactly as concurrent clients would; every row comes
+    from ``service.top_k`` (equal to direct serving up to the near-tie
+    caveat in :mod:`repro.engine.frontend`).
     """
     import asyncio
 
@@ -380,7 +377,6 @@ def _serve_recommendations(service, users, args):
     async def run():
         async with AsyncRecommendationFrontend(
                 service, max_batch_size=args.max_batch_size,
-                batch_window_ms=args.batch_window_ms,
                 max_pending=args.max_pending) as frontend:
             rows = await asyncio.gather(
                 *[frontend.recommend(user, args.top_k,
@@ -443,8 +439,6 @@ def _command_recommend(args: argparse.Namespace) -> int:
     if args.trace is not None and args.trace < 1:
         raise SystemExit("error: --trace must be a positive integer")
     if args.serve:
-        if args.batch_window_ms < 0:
-            raise SystemExit("error: --batch-window-ms must be >= 0")
         if args.max_batch_size < 1:
             raise SystemExit("error: --max-batch-size must be a positive "
                              "integer")
@@ -634,8 +628,8 @@ def _command_recommend(args: argparse.Namespace) -> int:
         if frontend_stats is not None:
             print(f"frontend: {frontend_stats['requests']} requests in "
                   f"{frontend_stats['batches']} batches "
-                  f"(mean occupancy {frontend_stats['mean_occupancy']:.1f}, "
-                  f"window {frontend_stats['batch_window_ms']} ms, "
+                  f"(max batch size {frontend_stats['max_batch_size']}, "
+                  f"mean occupancy {frontend_stats['mean_occupancy']:.1f}, "
                   f"shed {frontend_stats['shed']})")
         if cache_stats is not None:
             stats = payload["cache"]

@@ -55,13 +55,16 @@ models into a fast, reusable serving path:
 * :class:`AsyncRecommendationFrontend` — the asyncio micro-batching
   front-end for socket-shaped traffic: arbitrarily many concurrent
   ``await recommend(user, k)`` / ``await ingest(users, items)`` calls
-  coalesce into shared scoring (and ingest) batches per request signature,
-  flushed at ``max_batch_size`` or a ``batch_window_ms`` deadline started by
-  each group's first waiter.  Batches run on a worker thread (the event loop
-  never blocks), a bounded pending queue applies backpressure with explicit
-  load shedding (:class:`OverloadedError` or block-until-capacity), and the
-  results are bit-identical to calling ``service.top_k`` directly —
-  coalescing never changes results.
+  coalesce into shared scoring (and ingest) batches per request signature.
+  Dispatch is work-conserving: a miss goes to the worker as soon as it is
+  free, and what arrives while a batch runs goes out as the next batches,
+  at most ``max_batch_size`` rows each.  Batches run on a worker thread (the
+  event loop never blocks), a bounded pending queue applies backpressure
+  with explicit load shedding (:class:`OverloadedError` or
+  block-until-capacity), and every row comes from ``service.top_k``.  A
+  coalesced row equals a direct one-user call except at near-ties: NumPy
+  scores one user with gemv and a batch with gemm, which differ by up to
+  ~1e-13, so two candidates that close may swap.
 
 * :class:`ServingSnapshot` / :func:`save_snapshot` / :func:`load_snapshot` —
   zero-copy persistence of the whole frozen serving state (embeddings, item

@@ -7,17 +7,22 @@ trip, so throughput is bounded by per-request overhead instead of by the
 hardware.  :class:`AsyncRecommendationFrontend` restores the batch shape the
 engine is built for, without the callers ever cooperating:
 
-* **Coalescing.**  Concurrent ``await frontend.recommend(user, k)`` calls
-  are grouped per ``(k, exclude_train)`` signature.  A group is flushed into
-  ONE :meth:`RecommendationService.top_k` batch when either it reaches
-  ``max_batch_size`` waiters or the ``batch_window_ms`` deadline — started
-  by the group's *first* waiter — expires.  A lone request therefore waits
-  at most ~``batch_window_ms``; a full burst is served immediately.  Results
-  fan back out per-future, one row per waiter.
+* **Work-conserving coalescing.**  Concurrent ``await
+  frontend.recommend(user, k)`` calls are grouped per ``(k, exclude_train)``
+  signature, and each group is served by ONE
+  :meth:`RecommendationService.top_k` batch.  No timer holds a request back:
+  when the worker is idle, a miss goes out on the next event-loop iteration,
+  together with whatever else was submitted in the same tick.  While a batch
+  is in flight, new misses accumulate and go out as the next batches the
+  moment it finishes, at most ``max_batch_size`` rows per call.  Batches are
+  therefore as large as the load makes them — one row under light traffic,
+  full under saturation.  Results fan back out per-future, one row per
+  waiter.
 * **Ingest coalescing.**  ``await frontend.ingest(users, items)`` calls pool
-  their events the same way, so one overlay merge and one targeted LRU
-  invalidation pass amortise across many concurrent event producers.  Every
-  waiter receives the coalesced batch's stats dict.
+  their events the same way, in the same first-come queue as the reads, so
+  one overlay merge and one targeted LRU invalidation pass amortise across
+  the producers that arrived while the worker was busy.  Every waiter
+  receives the coalesced batch's stats dict.
 * **Backpressure.**  At most ``max_pending`` requests may be queued or in
   flight.  Above that the frontend sheds load: ``shed="reject"`` raises
   :class:`OverloadedError` immediately (the caller can retry with jitter),
@@ -28,21 +33,27 @@ engine is built for, without the callers ever cooperating:
   serialises ingest mutations against scoring reads, so the frontend needs
   no locks around the service's index structures).
 
-Exactness contract ("coalescing never changes results"): a coalesced batch
-is served by the *same* :meth:`RecommendationService.top_k` the caller
-would have used directly, and each user's row of a batched top-K is computed
-independently of its neighbours — so every awaited result is **bit-identical**
-to calling ``service.top_k([user], k)`` serially.  The closed-loop benchmark
-(``benchmarks/bench_async_frontend.py``) gates this parity in CI along with
-the throughput and p99-latency floors.
+Exactness contract: a coalesced batch is served by the *same*
+:meth:`RecommendationService.top_k` the caller would have used directly, so
+every row is the exact top-K of the scores that call computed.  Those scores
+are not always bit-identical to a one-user call: NumPy scores a one-user
+batch with a matrix-vector product (gemv) and a multi-user batch with a
+matrix-matrix product (gemm), and on the benchmark's serving world the two
+differ by up to ~1e-13 (gemm rows were bit-stable across batch sizes 2 to
+256).  A coalesced result therefore equals ``service.top_k([user], k)``
+except where two candidates' scores lie within that rounding of each other,
+where the tied pair may swap.  The closed-loop benchmark
+(``benchmarks/bench_async_frontend.py``) gates this parity along with the
+throughput and p99-latency floors.
 """
 
 from __future__ import annotations
 
 import asyncio
+import collections
 import concurrent.futures
 import contextvars
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
@@ -59,28 +70,24 @@ class OverloadedError(RuntimeError):
     """Raised (``shed="reject"``) when the pending queue is at capacity."""
 
 
-class _RecommendBatch:
-    """Waiters of one ``(k, exclude_train)`` group, pending flush."""
+class _Batch:
+    """Waiters pooled into one worker call.
 
-    __slots__ = ("users", "futures", "timer")
+    ``key`` is the ``(k, exclude_train)`` signature of a recommend group, or
+    ``None`` for pooled ingest events.  ``rows`` counts what the call will
+    process (waiters for a read, events for an ingest).  ``context`` is the
+    first waiter's, so the batch's spans land in that waiter's trace.
+    """
 
-    def __init__(self) -> None:
-        self.users: List[int] = []
-        self.futures: List[asyncio.Future] = []
-        self.timer: Optional[asyncio.TimerHandle] = None
+    __slots__ = ("key", "users", "items", "futures", "rows", "context")
 
-
-class _IngestBatch:
-    """Pending ingest events pooled across concurrent producers."""
-
-    __slots__ = ("users", "items", "futures", "events", "timer")
-
-    def __init__(self) -> None:
-        self.users: List[np.ndarray] = []
+    def __init__(self, key) -> None:
+        self.key = key
+        self.users: list = []
         self.items: List[np.ndarray] = []
         self.futures: List[asyncio.Future] = []
-        self.events = 0
-        self.timer: Optional[asyncio.TimerHandle] = None
+        self.rows = 0
+        self.context = contextvars.copy_context()
 
 
 class AsyncRecommendationFrontend:
@@ -92,12 +99,10 @@ class AsyncRecommendationFrontend:
         The :class:`RecommendationService` (or
         :class:`OnlineRecommendationService`, required for :meth:`ingest`)
         that actually serves the batches.  The frontend never bypasses it,
-        so results are bit-identical to direct ``service.top_k`` calls.
+        so every row comes from a direct ``service.top_k`` call.
     max_batch_size:
-        Flush a group as soon as this many waiters have coalesced.
-    batch_window_ms:
-        Deadline budget: the longest a request waits for co-batched company,
-        measured from the group's first waiter.
+        Most rows one worker call takes: recommend waiters of one signature,
+        or pooled ingest events.  Waiters beyond it queue as the next batch.
     max_pending:
         Bound on requests queued or in flight (recommend calls + ingest
         calls); the backpressure limit.
@@ -109,17 +114,13 @@ class AsyncRecommendationFrontend:
     """
 
     def __init__(self, service, *, max_batch_size: int = 64,
-                 batch_window_ms: float = 2.0, max_pending: int = 1024,
-                 shed: str = "reject") -> None:
+                 max_pending: int = 1024, shed: str = "reject") -> None:
         self.service = service
         self.max_batch_size = int(max_batch_size)
-        self.batch_window_ms = float(batch_window_ms)
         self.max_pending = int(max_pending)
         self.shed = shed
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be a positive integer")
-        if not self.batch_window_ms > 0:
-            raise ValueError("batch_window_ms must be positive")
         if self.max_pending < 1:
             raise ValueError("max_pending must be a positive integer")
         if shed not in SHED_POLICIES:
@@ -138,9 +139,12 @@ class AsyncRecommendationFrontend:
             pass
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._closed = False
-        self._recommend_pending: Dict[Tuple[int, bool], _RecommendBatch] = {}
-        self._ingest_pending: Optional[_IngestBatch] = None
-        self._flushes: set = set()
+        # Batches waiting for the worker, oldest first; the ones still taking
+        # waiters, by key; and the task serving the head batch (None when the
+        # worker is idle and nothing is queued).
+        self._ready: Deque[_Batch] = collections.deque()
+        self._open: Dict[object, _Batch] = {}
+        self._active: Optional[asyncio.Task] = None
         self._capacity = asyncio.Condition()
         self._pending = 0
         # Stats.
@@ -188,11 +192,53 @@ class AsyncRecommendationFrontend:
             self._pending -= count
             self._capacity.notify_all()
 
-    def _spawn(self, coroutine) -> None:
-        """Run a flush coroutine as a tracked task (kept alive until done)."""
-        task = self._get_loop().create_task(coroutine)
-        self._flushes.add(task)
-        task.add_done_callback(self._flushes.discard)
+    def _enqueue(self, key, rows: int, users,
+                 items: Optional[np.ndarray] = None) -> asyncio.Future:
+        """Add one waiter to ``key``'s open batch; return its future.
+
+        A key with no open batch opens one at the back of the queue.  A
+        batch closes once it holds ``max_batch_size`` rows, so later waiters
+        start the next one.
+        """
+        batch = self._open.get(key)
+        if batch is None:
+            batch = self._open[key] = _Batch(key)
+            self._ready.append(batch)
+        future = self._loop.create_future()
+        batch.futures.append(future)
+        batch.users.append(users)
+        if items is not None:
+            batch.items.append(items)
+        batch.rows += rows
+        if batch.rows >= self.max_batch_size:
+            del self._open[key]
+        self._dispatch()
+        return future
+
+    def _dispatch(self) -> None:
+        """Start serving the head batch unless a batch is already in flight.
+
+        The serving task takes the batch off the queue at its first step, on
+        the next loop iteration, so whatever is submitted in the current tick
+        still joins it.  It runs in the batch's first waiter's context.
+        """
+        if self._active is None and self._ready:
+            self._active = self._ready[0].context.run(
+                self._loop.create_task, self._serve_head())
+
+    async def _serve_head(self) -> None:
+        """Serve the head batch on the worker, then start the next one."""
+        batch = self._ready.popleft()
+        if self._open.get(batch.key) is batch:
+            del self._open[batch.key]
+        try:
+            if batch.key is None:
+                await self._run_ingest(batch)
+            else:
+                await self._run_recommend(batch)
+        finally:
+            self._active = None
+            self._dispatch()
 
     @property
     def pending(self) -> int:
@@ -206,11 +252,12 @@ class AsyncRecommendationFrontend:
                         exclude_train: bool = True) -> List[int]:
         """One user's top-``k``, served through a coalesced scoring batch.
 
-        Bit-identical to ``service.top_k([user], k, exclude_train)[0]``.
-        LRU-cached results resolve immediately without taking a queue slot;
-        misses wait at most ~``batch_window_ms`` for co-batched company.
+        Equal to ``service.top_k([user], k, exclude_train)[0]`` up to the
+        near-tie caveat in the module docstring.  LRU-cached results resolve
+        immediately without taking a queue slot; a miss goes to the worker
+        as soon as it is free.
         """
-        loop = self._get_loop()
+        self._get_loop()
         user, k = int(user), int(k)
         if k <= 0:
             raise ValueError("k must be positive")
@@ -224,27 +271,8 @@ class AsyncRecommendationFrontend:
                 registry.inc("frontend.cache_hits")
                 return cached
             await self._admit()
-            key = (k, bool(exclude_train))
             with span("frontend.assemble"):
-                batch = self._recommend_pending.get(key)
-                if batch is None:
-                    batch = self._recommend_pending[key] = _RecommendBatch()
-                    # The first waiter starts the deadline clock for the
-                    # group (and, via call_later's context copy, owns the
-                    # deadline flush's spans in its trace).
-                    batch.timer = loop.call_later(
-                        self.batch_window_ms / 1000.0,
-                        lambda: self._spawn(self._flush_recommend(key)))
-                future: asyncio.Future = loop.create_future()
-                batch.users.append(user)
-                batch.futures.append(future)
-                if len(batch.futures) >= self.max_batch_size:
-                    # Detach the full group synchronously so later arrivals
-                    # start a fresh batch (and a fresh window) — no batch ever
-                    # exceeds max_batch_size even when many submissions
-                    # precede the flush.
-                    del self._recommend_pending[key]
-                    self._spawn(self._run_recommend(batch, key))
+                future = self._enqueue((k, bool(exclude_train)), 1, user)
             with span("frontend.await_batch"):
                 return await future
 
@@ -257,18 +285,8 @@ class AsyncRecommendationFrontend:
             self.service.cache_store(int(user), k, exclude_train, row)
         return rows
 
-    async def _flush_recommend(self, key: Tuple[int, bool]) -> None:
-        """Deadline-triggered flush: detach the group (if still pending)."""
-        batch = self._recommend_pending.pop(key, None)
-        if batch is None:  # size- and deadline-triggered flushes raced
-            return
-        await self._run_recommend(batch, key)
-
-    async def _run_recommend(self, batch: _RecommendBatch,
-                             key: Tuple[int, bool]) -> None:
-        if batch.timer is not None:
-            batch.timer.cancel()
-        k, exclude_train = key
+    async def _run_recommend(self, batch: _Batch) -> None:
+        k, exclude_train = batch.key
         users = np.asarray(batch.users, dtype=np.int64)
         registry = metrics()
         registry.observe("frontend.batch_occupancy", len(batch.futures),
@@ -305,7 +323,7 @@ class AsyncRecommendationFrontend:
         """Fold new interaction events in, through a coalesced ingest batch.
 
         Events from concurrent producers pool into ONE
-        ``service.ingest(users, items)`` call per flush, so the overlay merge
+        ``service.ingest(users, items)`` call per batch, so the overlay merge
         and the targeted LRU invalidation amortise across producers.  Every
         waiter receives the coalesced batch's stats dict (plus
         ``coalesced_calls``, the number of producers pooled into it).
@@ -321,33 +339,9 @@ class AsyncRecommendationFrontend:
         self.ingest_calls += 1
         metrics().inc("frontend.ingest_calls")
         await self._admit()
-        batch = self._ingest_pending
-        if batch is None:
-            batch = self._ingest_pending = _IngestBatch()
-            batch.timer = self._get_loop().call_later(
-                self.batch_window_ms / 1000.0,
-                lambda: self._spawn(self._flush_ingest()))
-        future: asyncio.Future = self._get_loop().create_future()
-        batch.users.append(users)
-        batch.items.append(items)
-        batch.events += int(users.size)
-        batch.futures.append(future)
-        if batch.events >= self.max_batch_size:
-            # Detach synchronously — later producers start a fresh batch.
-            self._ingest_pending = None
-            self._spawn(self._run_ingest(batch))
-        return await future
+        return await self._enqueue(None, int(users.size), users, items)
 
-    async def _flush_ingest(self) -> None:
-        """Deadline-triggered flush: detach the batch (if still pending)."""
-        batch, self._ingest_pending = self._ingest_pending, None
-        if batch is None:
-            return
-        await self._run_ingest(batch)
-
-    async def _run_ingest(self, batch: _IngestBatch) -> None:
-        if batch.timer is not None:
-            batch.timer.cancel()
+    async def _run_ingest(self, batch: _Batch) -> None:
         users = np.concatenate(batch.users)
         items = np.concatenate(batch.items)
         registry = metrics()
@@ -369,22 +363,22 @@ class AsyncRecommendationFrontend:
                         dict(stats, coalesced_calls=len(batch.futures)))
         finally:
             self.ingest_batches += 1
-            self.ingest_events += batch.events
+            self.ingest_events += batch.rows
             registry.inc("frontend.ingest_batches")
-            registry.inc("frontend.ingest_events", batch.events)
+            registry.inc("frontend.ingest_events", batch.rows)
             await self._release(len(batch.futures))
 
     # ------------------------------------------------------------------ #
     # Lifecycle / stats
     # ------------------------------------------------------------------ #
     async def flush(self) -> None:
-        """Flush every pending group now and wait for the results to land."""
-        for key in list(self._recommend_pending):
-            self._spawn(self._flush_recommend(key))
-        if self._ingest_pending is not None:
-            self._spawn(self._flush_ingest())
-        while self._flushes:
-            await asyncio.gather(*list(self._flushes), return_exceptions=True)
+        """Wait until every queued batch has been served.
+
+        Queued work is always already draining, so this only waits for the
+        queue to run dry.
+        """
+        while self._active is not None:
+            await asyncio.wait((self._active,))
 
     async def close(self) -> None:
         """Drain pending batches, then release the worker thread.
@@ -419,7 +413,6 @@ class AsyncRecommendationFrontend:
             "pending": self._pending,
             "queue_high_water": self.queue_high_water,
             "max_batch_size": self.max_batch_size,
-            "batch_window_ms": self.batch_window_ms,
             "max_pending": self.max_pending,
             "shed_policy": self.shed,
         }
@@ -427,6 +420,5 @@ class AsyncRecommendationFrontend:
     def __repr__(self) -> str:
         return (f"AsyncRecommendationFrontend(service={self.service!r}, "
                 f"max_batch_size={self.max_batch_size}, "
-                f"batch_window_ms={self.batch_window_ms}, "
                 f"max_pending={self.max_pending}, shed={self.shed!r}, "
                 f"batches={self.batches}, shed_count={self.shed_count})")

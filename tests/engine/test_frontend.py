@@ -1,7 +1,8 @@
-"""Tests for the async micro-batching front-end (coalescing, deadlines,
-backpressure/load-shedding, ingest pooling, exact parity)."""
+"""Tests for the async micro-batching front-end (work-conserving
+coalescing, backpressure/load-shedding, ingest pooling, exact parity)."""
 
 import asyncio
+import threading
 import time
 
 import numpy as np
@@ -43,6 +44,30 @@ def _slow_top_k(service, delay: float):
     return wrapped
 
 
+def _gated(method, calls, name):
+    """Wrap ``method``: record ``(name, batch length)`` per call and hold the
+    first call until the returned ``release`` event is set.  ``started`` is
+    set once the first call is inside the worker."""
+    started, release = threading.Event(), threading.Event()
+
+    def wrapped(users, *args, **kwargs):
+        calls.append((name, len(users)))
+        if len(calls) == 1:
+            started.set()
+            release.wait(timeout=30.0)
+        return method(users, *args, **kwargs)
+
+    return wrapped, started, release
+
+
+async def _until(event: threading.Event, timeout: float = 30.0) -> None:
+    """Wait for a worker-side event without blocking the event loop."""
+    deadline = time.perf_counter() + timeout
+    while not event.is_set():
+        assert time.perf_counter() < deadline, "the worker never got there"
+        await asyncio.sleep(0.001)
+
+
 class TestParity:
     def test_single_request_matches_service(self, service, tiny_split):
         async def scenario():
@@ -58,7 +83,7 @@ class TestParity:
 
         async def scenario():
             async with AsyncRecommendationFrontend(
-                    service, max_batch_size=16, batch_window_ms=20) as frontend:
+                    service, max_batch_size=16) as frontend:
                 return await asyncio.gather(*[
                     frontend.recommend(u, k, exclude_train=x)
                     for u, k, x in requests])
@@ -75,8 +100,7 @@ class TestParity:
 
             async def scenario():
                 async with AsyncRecommendationFrontend(
-                        service, max_batch_size=8,
-                        batch_window_ms=20) as frontend:
+                        service, max_batch_size=8) as frontend:
                     return await asyncio.gather(*[
                         frontend.recommend(u, 5) for u in users])
 
@@ -89,11 +113,10 @@ class TestParity:
 class TestCoalescing:
     def test_full_burst_forms_one_capped_batch(self, service):
         async def scenario():
-            # Window far beyond the test budget: only the size trigger can
-            # flush, so finishing quickly proves the burst path works.
+            # Submitted in one tick, the burst joins one batch before the
+            # worker takes it.
             async with AsyncRecommendationFrontend(
-                    service, max_batch_size=8, batch_window_ms=30_000,
-                    ) as frontend:
+                    service, max_batch_size=8) as frontend:
                 await asyncio.gather(*[frontend.recommend(u % 10, 5)
                                        for u in range(8)])
                 return frontend.stats()
@@ -108,7 +131,7 @@ class TestCoalescing:
     def test_batches_never_exceed_max_batch_size(self, service):
         async def scenario():
             async with AsyncRecommendationFrontend(
-                    service, max_batch_size=8, batch_window_ms=50) as frontend:
+                    service, max_batch_size=8) as frontend:
                 await asyncio.gather(*[frontend.recommend(u % 10, 5)
                                        for u in range(40)])
                 return frontend.stats()
@@ -118,27 +141,66 @@ class TestCoalescing:
         assert stats["max_occupancy"] <= 8
         assert stats["batches"] >= 5
 
-    def test_lone_request_served_by_deadline_not_batch_fill(self, service):
+    def test_idle_frontend_serves_lone_request_without_timer(self, service):
         async def scenario():
-            async with AsyncRecommendationFrontend(
-                    service, max_batch_size=1024,
-                    batch_window_ms=40) as frontend:
-                start = time.perf_counter()
-                result = await frontend.recommend(1, 6)
-                elapsed = time.perf_counter() - start
-                return result, elapsed, frontend.stats()
+            loop = asyncio.get_running_loop()
+            timers = []
+            call_at = loop.call_at
 
-        result, elapsed, stats = run(scenario())
+            def counting_call_at(when, callback, *args, **kwargs):
+                timers.append(callback)
+                return call_at(when, callback, *args, **kwargs)
+
+            # call_later goes through call_at, so this sees every timer.
+            loop.call_at = counting_call_at
+            try:
+                async with AsyncRecommendationFrontend(
+                        service, max_batch_size=1024) as frontend:
+                    start = time.perf_counter()
+                    result = await frontend.recommend(1, 6)
+                    elapsed = time.perf_counter() - start
+                    return result, elapsed, timers, frontend.stats()
+            finally:
+                loop.call_at = call_at
+
+        result, elapsed, timers, stats = run(scenario())
         assert result == [int(i) for i in service.top_k(np.asarray([1]), 6)[0]]
-        # Served by the deadline timer (~40ms), never waiting for 1024
-        # co-requests; generous ceiling for slow CI machines.
+        # Dispatched on the next loop iteration: no timer was armed and the
+        # request never waited for 1023 co-requests.  Generous ceiling for
+        # slow CI machines.
+        assert timers == []
         assert elapsed < 10.0
         assert stats["batches"] == 1 and stats["max_occupancy"] == 1
+
+    def test_requests_during_a_batch_form_the_next_capped_batches(
+            self, service, tiny_split):
+        calls = []
+        service.top_k, started, release = _gated(service.top_k, calls, "top_k")
+        users = [u % tiny_split.num_users for u in range(21)]
+
+        async def scenario():
+            async with AsyncRecommendationFrontend(
+                    service, max_batch_size=8) as frontend:
+                first = asyncio.ensure_future(frontend.recommend(users[0], 5))
+                await _until(started)
+                rest = [asyncio.ensure_future(frontend.recommend(u, 5))
+                        for u in users[1:]]
+                await asyncio.sleep(0)  # let the 20 submissions enqueue
+                release.set()
+                return await asyncio.gather(first, *rest), frontend.stats()
+
+        results, stats = run(asyncio.wait_for(scenario(), 60.0))
+        # The lone first request goes out alone; the 20 that arrived while
+        # it ran go out right after it, as full batches plus the remainder.
+        assert [size for _, size in calls] == [1, 8, 8, 4]
+        assert stats["batches"] == 4 and stats["max_occupancy"] == 8
+        oracle = RecommendationService.top_k(service, np.asarray(users), 5)
+        assert results == [[int(i) for i in row] for row in oracle]
 
     def test_requests_group_by_k_and_exclusion(self, service):
         async def scenario():
             async with AsyncRecommendationFrontend(
-                    service, max_batch_size=4, batch_window_ms=20) as frontend:
+                    service, max_batch_size=4) as frontend:
                 await asyncio.gather(
                     *[frontend.recommend(u, 5) for u in range(4)],
                     *[frontend.recommend(u, 7) for u in range(4)],
@@ -157,7 +219,7 @@ class TestCoalescing:
 
         async def scenario():
             async with AsyncRecommendationFrontend(
-                    service, max_batch_size=4, batch_window_ms=20) as frontend:
+                    service, max_batch_size=4) as frontend:
                 first = await asyncio.gather(*[frontend.recommend(u, 5)
                                                for u in range(4)])
                 batches_after_first = frontend.stats()["batches"]
@@ -180,16 +242,13 @@ class TestBackpressure:
 
         async def scenario():
             frontend = AsyncRecommendationFrontend(
-                service, max_batch_size=8, batch_window_ms=30_000,
-                max_pending=8, shed="reject")
+                service, max_batch_size=8, max_pending=8, shed="reject")
             results = await asyncio.gather(
                 *[frontend.recommend(u % tiny_split.num_users, 5)
                   for u in range(30)],
                 return_exceptions=True)
             # After the shed burst the queue must be fully consistent: no
-            # stranded slots, and new requests serve exact results.  (The
-            # huge window keeps the burst deterministic, so the follow-up is
-            # flushed explicitly instead of waiting out the deadline.)
+            # stranded slots, and new requests serve exact results.
             assert frontend.pending == 0
             follow_task = asyncio.ensure_future(frontend.recommend(2, 5))
             await asyncio.sleep(0)
@@ -215,8 +274,7 @@ class TestBackpressure:
 
         async def scenario():
             frontend = AsyncRecommendationFrontend(
-                service, max_batch_size=4, batch_window_ms=30_000,
-                max_pending=4, shed="block")
+                service, max_batch_size=4, max_pending=4, shed="block")
             results = await asyncio.wait_for(
                 asyncio.gather(*[frontend.recommend(u % tiny_split.num_users, 5)
                                  for u in range(12)]),
@@ -233,8 +291,7 @@ class TestBackpressure:
     def test_queue_high_water_mark_tracked(self, service):
         async def scenario():
             async with AsyncRecommendationFrontend(
-                    service, max_batch_size=64, batch_window_ms=20,
-                    max_pending=64) as frontend:
+                    service, max_batch_size=64, max_pending=64) as frontend:
                 await asyncio.gather(*[frontend.recommend(u % 10, 5)
                                        for u in range(16)])
                 return frontend.stats()
@@ -251,7 +308,7 @@ class TestIngest:
 
         async def scenario():
             async with AsyncRecommendationFrontend(
-                    online, max_batch_size=4, batch_window_ms=20) as frontend:
+                    online, max_batch_size=4) as frontend:
                 stats_list = await asyncio.gather(*[
                     frontend.ingest([user], [user % tiny_split.num_items])
                     for user in range(4)])
@@ -272,7 +329,7 @@ class TestIngest:
 
         async def scenario():
             async with AsyncRecommendationFrontend(
-                    online, max_batch_size=8, batch_window_ms=20) as frontend:
+                    online, max_batch_size=8) as frontend:
                 before = await frontend.recommend(0, 5)
                 await frontend.ingest([0, 0], [before[0], before[1]])
                 after = await frontend.recommend(0, 5)
@@ -306,7 +363,7 @@ class TestIngest:
 
         async def scenario():
             async with AsyncRecommendationFrontend(
-                    online, max_batch_size=2, batch_window_ms=20) as frontend:
+                    online, max_batch_size=2) as frontend:
                 results = await asyncio.gather(
                     # Items beyond the catalogue fail inside service.ingest.
                     frontend.ingest([0], [tiny_split.num_items + 5]),
@@ -318,12 +375,44 @@ class TestIngest:
         results = run(scenario())
         assert all(isinstance(r, IndexError) for r in results)
 
+    def test_ingest_during_a_read_batch_goes_out_coalesced_after_it(
+            self, model, tiny_split):
+        online = OnlineRecommendationService(model, tiny_split, cache_size=0,
+                                             compact_threshold=10 ** 9)
+        calls = []
+        online.top_k, started, release = _gated(online.top_k, calls, "top_k")
+        ingest = online.ingest
+
+        def recorded_ingest(users, items):
+            calls.append(("ingest", len(users)))
+            return ingest(users, items)
+
+        online.ingest = recorded_ingest
+
+        async def scenario():
+            async with AsyncRecommendationFrontend(
+                    online, max_batch_size=64) as frontend:
+                read = asyncio.ensure_future(frontend.recommend(0, 5))
+                await _until(started)
+                writes = [asyncio.ensure_future(
+                    frontend.ingest([user], [user % tiny_split.num_items]))
+                    for user in range(1, 4)]
+                await asyncio.sleep(0)
+                release.set()
+                await read
+                return await asyncio.gather(*writes), frontend.stats()
+
+        per_call, stats = run(asyncio.wait_for(scenario(), 60.0))
+        assert calls == [("top_k", 1), ("ingest", 3)]
+        assert stats["ingest_batches"] == 1 and stats["ingest_events"] == 3
+        assert all(s["coalesced_calls"] == 3 for s in per_call)
+
 
 class TestLifecycle:
     def test_close_flushes_pending_requests(self, service):
         async def scenario():
             frontend = AsyncRecommendationFrontend(
-                service, max_batch_size=64, batch_window_ms=30_000)
+                service, max_batch_size=64)
             pending = [asyncio.ensure_future(frontend.recommend(u, 5))
                        for u in range(3)]
             await asyncio.sleep(0)  # let the submissions enqueue
@@ -351,7 +440,7 @@ class TestLifecycle:
 
         async def scenario():
             frontend = AsyncRecommendationFrontend(
-                service, max_batch_size=2, batch_window_ms=20)
+                service, max_batch_size=2)
             results = await asyncio.gather(
                 frontend.recommend(0, 5), frontend.recommend(1, 5),
                 return_exceptions=True)
@@ -363,10 +452,47 @@ class TestLifecycle:
         assert all(isinstance(r, RuntimeError) for r in results)
         assert pending == 0
 
+    def test_failed_batch_reaches_its_waiters_and_the_drain_continues(
+            self, service, tiny_split):
+        calls = []
+        top_k = service.top_k
+
+        def failing_first(users, k, exclude_train=True):
+            if len(calls) == 1:  # the gate has already logged this call
+                raise RuntimeError("scoring backend down")
+            return top_k(users, k, exclude_train=exclude_train)
+
+        service.top_k, started, release = _gated(failing_first, calls, "top_k")
+        users = [u % tiny_split.num_users for u in range(1, 4)]
+
+        async def scenario():
+            async with AsyncRecommendationFrontend(
+                    service, max_batch_size=8) as frontend:
+                doomed = asyncio.ensure_future(frontend.recommend(0, 5))
+                await _until(started)
+                queued = [asyncio.ensure_future(frontend.recommend(u, 5))
+                          for u in users]
+                await asyncio.sleep(0)
+                release.set()
+                failure = await asyncio.gather(doomed, return_exceptions=True)
+                served = await asyncio.gather(*queued)
+                pending = frontend.pending
+                later = await frontend.recommend(users[0], 5)
+                return failure[0], served, pending, later
+
+        failure, served, pending, later = run(
+            asyncio.wait_for(scenario(), 60.0))
+        assert isinstance(failure, RuntimeError)
+        assert [size for _, size in calls] == [1, 3, 1]
+        oracle = RecommendationService.top_k(service, np.asarray(users), 5)
+        assert served == [[int(i) for i in row] for row in oracle]
+        assert pending == 0
+        assert later == served[0]
+
     def test_cancelled_waiter_does_not_poison_the_batch(self, service):
         async def scenario():
             async with AsyncRecommendationFrontend(
-                    service, max_batch_size=64, batch_window_ms=30) as frontend:
+                    service, max_batch_size=64) as frontend:
                 doomed = asyncio.ensure_future(frontend.recommend(0, 5))
                 survivor = asyncio.ensure_future(frontend.recommend(1, 5))
                 await asyncio.sleep(0)
@@ -379,8 +505,8 @@ class TestLifecycle:
     def test_constructor_validation(self, service):
         with pytest.raises(ValueError):
             AsyncRecommendationFrontend(service, max_batch_size=0)
-        with pytest.raises(ValueError):
-            AsyncRecommendationFrontend(service, batch_window_ms=0.0)
+        with pytest.raises(TypeError):  # no batch-window knob any more
+            AsyncRecommendationFrontend(service, batch_window_ms=2.0)
         with pytest.raises(ValueError):
             AsyncRecommendationFrontend(service, max_pending=0)
         with pytest.raises(ValueError):

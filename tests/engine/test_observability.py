@@ -341,8 +341,7 @@ class TestContextPropagation:
         service = RecommendationService(index=index)
 
         async def run():
-            async with AsyncRecommendationFrontend(
-                    service, batch_window_ms=1.0) as frontend:
+            async with AsyncRecommendationFrontend(service) as frontend:
                 return await frontend.recommend(1, K)
 
         row = asyncio.run(run())
@@ -497,8 +496,7 @@ class TestUnifiedStats:
         assert service.stats()["frontend"] is None
 
         async def run():
-            async with AsyncRecommendationFrontend(
-                    service, batch_window_ms=1.0) as frontend:
+            async with AsyncRecommendationFrontend(service) as frontend:
                 await frontend.recommend(0, K)
                 return service.stats()
 

@@ -468,14 +468,15 @@ class TestServeRecommend:
         assert served["recommendations"] == direct["recommendations"]
 
     def test_serve_coalesces_and_reports_frontend_stats(self, capsys):
-        payload = self._payload(capsys, ["--serve", "--batch-window-ms", "5",
-                                         "--max-batch-size", "4"])
+        payload = self._payload(capsys, ["--serve", "--max-batch-size", "4"])
         stats = payload["frontend"]
         assert stats["requests"] == 4
         assert stats["batches"] >= 1
         assert stats["batched_requests"] == 4  # nothing was cached up front
         assert stats["shed"] == 0 and stats["pending"] == 0
-        assert stats["max_batch_size"] == 4 and stats["batch_window_ms"] == 5.0
+        assert stats["max_batch_size"] == 4
+        assert stats["mean_occupancy"] == 4.0  # one tick, one full batch
+        assert "batch_window_ms" not in stats
 
     def test_serve_matches_direct_with_sharding(self, capsys):
         direct = self._payload(capsys, ["--shards", "3"])
@@ -499,9 +500,18 @@ class TestServeRecommend:
         output = capsys.readouterr().out
         assert "frontend:" in output and "cache:" in output
 
+    def test_serve_text_reports_batch_size_and_occupancy(self, capsys):
+        argv = [arg for arg in self.BASE if arg != "--json"] + [
+            "--serve", "--max-batch-size", "3"]
+        assert main(argv) == 0
+        line = next(line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("frontend:"))
+        # Four same-tick requests capped at three rows: batches of 3 and 1.
+        assert "4 requests in 2 batches" in line
+        assert "max batch size 3" in line and "mean occupancy 2.0" in line
+        assert "window" not in line
+
     def test_rejects_bad_serve_knobs(self):
-        with pytest.raises(SystemExit, match="batch-window-ms"):
-            main(self.BASE + ["--serve", "--batch-window-ms", "-1"])
         with pytest.raises(SystemExit, match="max-batch-size"):
             main(self.BASE + ["--serve", "--max-batch-size", "0"])
         with pytest.raises(SystemExit, match="max-pending"):
@@ -517,9 +527,9 @@ class TestServeRecommend:
         subparsers = next(action for action in parser._actions
                           if isinstance(action, argparse._SubParsersAction))
         recommend_help = subparsers.choices["recommend"].format_help()
-        for flag in ("--serve", "--batch-window-ms", "--max-batch-size",
-                     "--max-pending"):
+        for flag in ("--serve", "--max-batch-size", "--max-pending"):
             assert flag in recommend_help
+        assert "--batch-window-ms" not in recommend_help
 
 
 class TestStatsCommand:
