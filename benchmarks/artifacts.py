@@ -17,7 +17,6 @@ the history.
 from __future__ import annotations
 
 import json
-import math
 import os
 import platform
 import subprocess
@@ -25,6 +24,14 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
+if str(_SRC) not in sys.path:
+    sys.path.insert(0, str(_SRC))
+
+# The one percentile: the engine's histograms and these latency summaries
+# report identical p50/p99 math.
+from repro.engine.observability import metrics, percentile  # noqa: E402
 
 
 def peak_rss_bytes() -> Optional[int]:
@@ -43,29 +50,6 @@ def peak_rss_bytes() -> Optional[int]:
     if sys.platform == "darwin":  # pragma: no cover - macOS reports bytes
         return int(peak)
     return int(peak) * 1024
-
-
-def percentile(samples: Sequence[float], q: float) -> float:
-    """The ``q``-th percentile of ``samples`` with linear interpolation.
-
-    Matches ``numpy.percentile``'s default (``method="linear"``): the rank
-    ``(n - 1) * q / 100`` is split into its integer neighbours and the value
-    interpolated between them.  Shared by every latency-reporting benchmark
-    so their p50/p99 numbers are computed identically.  Raises
-    ``ValueError`` on an empty sample set or a ``q`` outside [0, 100].
-    """
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile q must be in [0, 100], got {q}")
-    ordered = sorted(float(x) for x in samples)
-    if not ordered:
-        raise ValueError("percentile of an empty sample set is undefined")
-    rank = (len(ordered) - 1) * (q / 100.0)
-    lower = math.floor(rank)
-    upper = math.ceil(rank)
-    if lower == upper:
-        return ordered[lower]
-    fraction = rank - lower
-    return ordered[lower] * (1.0 - fraction) + ordered[upper] * fraction
 
 
 def latency_summary(seconds: Sequence[float]) -> dict:
@@ -94,14 +78,9 @@ def telemetry_snapshot() -> Optional[dict]:
     Benchmarks exercise the serving stack, so by artifact-writing time the
     process registry holds every counter and latency histogram the run
     produced; stamping it into the document makes each benchmark JSON a
-    full telemetry record, not just its headline numbers.  Guarded import:
-    artifacts must stay writable from benchmarks that never touch the
-    engine (and from stripped-down environments).
+    full telemetry record, not just its headline numbers.  A benchmark that
+    never touched the engine leaves the registry empty and gets ``None``.
     """
-    try:
-        from repro.engine.observability import metrics
-    except ImportError:  # pragma: no cover - engine not on the path
-        return None
     snapshot = metrics().snapshot()
     if not snapshot.get("counters") and not snapshot.get("histograms") \
             and not snapshot.get("gauges"):

@@ -12,11 +12,15 @@ strided policies) and serves batched top-K through
   larger than every shard (so the k>items-per-shard and empty-shard merge
   behaviour is exercised end-to-end).  Any drift between the shard merge and
   the single-matrix ranking fails the build.
+* **Executor parity (also gated).**  Every local executor — serial,
+  threaded, and process workers over a snapshot saved to a temp dir — must
+  serve the oracle's top-K bit for bit at every S: all three run each shard
+  request through the same ``run_shard_request``.
 * **Throughput.**  Full-catalogue top-K over all users, timed per shard
-  count with the serial and the threaded executor.  On the toy synthetic
-  presets fan-out overhead usually beats the BLAS win — the numbers are
-  reported for trend tracking, not asserted (sharding pays off past the
-  single-worker memory wall, which no CI-sized preset reaches).
+  count with each of those executors.  On the toy synthetic presets fan-out
+  overhead usually beats the BLAS win — the numbers are reported for trend
+  tracking, not asserted (sharding pays off past the single-worker memory
+  wall, which no CI-sized preset reaches).
 
 Environment knobs: ``REPRO_BENCH_DATASET`` (e.g. ``tiny`` for the CI smoke
 run) and ``REPRO_BENCH_JSON`` (artifact directory, see ``artifacts.py``).
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -41,9 +46,11 @@ if str(_SRC) not in sys.path:
 from repro.data import chronological_split, dataset_preset  # noqa: E402
 from repro.engine import (  # noqa: E402
     InferenceIndex,
+    ProcessExecutor,
     SerialExecutor,
     ShardedInferenceIndex,
     ThreadedExecutor,
+    save_snapshot,
 )
 from repro.models import LightGCN  # noqa: E402
 
@@ -117,6 +124,12 @@ def check_parity(index: InferenceIndex) -> int:
     return comparisons
 
 
+def _executors(snapshot_path, num_shards: int):
+    """Every local executor, each fresh for one S-shard index."""
+    return ((SerialExecutor(), "serial"), (ThreadedExecutor(), "threads"),
+            (ProcessExecutor(snapshot_path, num_shards), "process"))
+
+
 def run_sharded_serving(datasets=None, repeats: int = 3):
     """Parity-check and time every (dataset, shard count, executor) cell."""
     rows = []
@@ -124,27 +137,34 @@ def run_sharded_serving(datasets=None, repeats: int = 3):
         index = _build_index(name)
         users = np.arange(index.num_users, dtype=np.int64)
         comparisons = check_parity(index)
+        oracle = index.top_k(users, TOP_K)
 
         baseline = _time(lambda: index.top_k(users, TOP_K), repeats)
-        for num_shards in SHARD_COUNTS:
-            for executor, mode in ((SerialExecutor(), "serial"),
-                                   (ThreadedExecutor(), "threads")):
-                sharded = ShardedInferenceIndex.from_index(
-                    index, num_shards, executor=executor)
-                elapsed = _time(lambda: sharded.top_k(users, TOP_K), repeats)
-                sharded.close()
-                rows.append({
-                    "dataset": name,
-                    "users": int(index.num_users),
-                    "items": int(index.num_items),
-                    "shards": num_shards,
-                    "mode": mode,
-                    "unsharded_ms": baseline * 1e3,
-                    "sharded_ms": elapsed * 1e3,
-                    "users_per_s": index.num_users / elapsed,
-                    "relative": baseline / elapsed,
-                    "parity_checks": comparisons,
-                })
+        with tempfile.TemporaryDirectory() as tmp:
+            snapshot_path = save_snapshot(Path(tmp) / "serve.snap", index)
+            for num_shards in SHARD_COUNTS:
+                for executor, mode in _executors(snapshot_path, num_shards):
+                    with executor:  # releases its pool
+                        sharded = ShardedInferenceIndex.from_index(
+                            index, num_shards, executor=executor)
+                        got = sharded.top_k(users, TOP_K)
+                        assert np.array_equal(oracle, got), (
+                            f"{mode} fan-out (S={num_shards}) diverges from "
+                            f"the unsharded oracle")
+                        elapsed = _time(lambda: sharded.top_k(users, TOP_K),
+                                        repeats)
+                    rows.append({
+                        "dataset": name,
+                        "users": int(index.num_users),
+                        "items": int(index.num_items),
+                        "shards": num_shards,
+                        "mode": mode,
+                        "unsharded_ms": baseline * 1e3,
+                        "sharded_ms": elapsed * 1e3,
+                        "users_per_s": index.num_users / elapsed,
+                        "relative": baseline / elapsed,
+                        "parity_checks": comparisons,
+                    })
     return rows
 
 

@@ -69,12 +69,13 @@ def main() -> None:
     # 6. Sharded serving: past the single-worker memory wall the item
     #    catalogue partitions item-wise into S shards; each shard ranks its
     #    own candidates and the exact merge reproduces the unsharded ranking
-    #    bit-for-bit.  parallel=True fans shard scoring out over threads
-    #    (the per-shard matmul releases the GIL).  Same flags on the CLI:
-    #    `repro recommend --shards 4 --parallel`.
+    #    bit-for-bit.  executor="threads" fans shard scoring out over
+    #    threads (the per-shard matmul releases the GIL).  Same flags on the
+    #    CLI: `repro recommend --shards 4 --executor threads`.
     from repro.engine import RecommendationService
 
-    sharded = RecommendationService(model, split, num_shards=4, parallel=True)
+    sharded = RecommendationService(model, split, num_shards=4,
+                                    executor="threads")
     sharded_top5 = sharded.top_k(range(3), k=5)
     assert (batch_top5 == sharded_top5).all(), "sharding must be exact"
     print(f"sharded service (identical results): {sharded!r}")

@@ -7,7 +7,6 @@ substitution rationale.
 """
 
 from .tensor import Tensor, no_grad, is_grad_enabled
-from .sparse_ops import SparseTensor, sparse_matmul
 from .module import Module, Parameter
 from .optim import Adam, Optimizer, SGD
 from . import functional
@@ -17,8 +16,6 @@ __all__ = [
     "Tensor",
     "no_grad",
     "is_grad_enabled",
-    "SparseTensor",
-    "sparse_matmul",
     "Module",
     "Parameter",
     "Adam",

@@ -16,8 +16,8 @@ Design notes
 * Broadcasting is supported for the element-wise operators; gradients are
   summed back down to the original shape by :func:`_unbroadcast`.
 * Sparse propagation (the :math:`\\hat{A} X` product at the heart of every
-  GCN model here) lives in :mod:`repro.autograd.sparse_ops` and plugs into
-  the same graph.
+  GCN model here) is :meth:`repro.engine.PropagationEngine.apply`, which
+  plugs into the same graph.
 """
 
 from __future__ import annotations

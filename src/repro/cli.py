@@ -92,10 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     recommend.add_argument("--shard-policy", default="contiguous",
                            choices=["contiguous", "strided"],
                            help="item partitioning policy for --shards")
-    recommend.add_argument("--parallel", action="store_true",
-                           help="fan sharded scoring out over a thread pool "
-                                "(shard scoring releases the GIL); requires "
-                                "--shards > 1")
     recommend.add_argument("--snapshot", default=None, metavar="PATH",
                            help="serve from this snapshot file (written by "
                                 "'repro snapshot save') instead of training "
@@ -106,9 +102,11 @@ def build_parser() -> argparse.ArgumentParser:
     recommend.add_argument("--executor", default=None,
                            choices=["serial", "threads", "process", "remote"],
                            help="fan-out executor for --shards > 1: 'serial', "
-                                "'threads', 'process' (worker processes "
-                                "re-open the snapshot by offset — requires "
-                                "--snapshot; no matrices are pickled), or "
+                                "'threads' (a thread pool; shard scoring "
+                                "releases the GIL), 'process' (worker "
+                                "processes re-open the snapshot by offset — "
+                                "requires --snapshot; no matrices are "
+                                "pickled), or "
                                 "'remote' (fan out over TCP to 'repro "
                                 "shard-server' processes — requires "
                                 "--snapshot and one --shard-addr per shard)")
@@ -398,15 +396,12 @@ def _command_recommend(args: argparse.Namespace) -> int:
         raise SystemExit("error: -k/--top-k must be a positive integer")
     if args.shards <= 0:
         raise SystemExit("error: --shards must be a positive integer")
-    if args.parallel and args.shards <= 1:
-        raise SystemExit("error: --parallel fans out shard scoring and "
-                         "requires --shards > 1")
-    if args.parallel and args.executor is not None:
-        raise SystemExit("error: pass either --parallel or --executor, "
-                         "not both")
     if args.executor == "process" and args.snapshot is None:
         raise SystemExit("error: --executor process ships snapshot offsets "
                          "to worker processes and requires --snapshot PATH")
+    if args.executor in ("threads", "process") and args.shards <= 1:
+        raise SystemExit(f"error: --executor {args.executor} fans out shard "
+                         f"scoring and requires --shards > 1")
     if args.executor == "remote":
         if args.snapshot is None:
             raise SystemExit("error: --executor remote pins shard servers to "
@@ -460,8 +455,7 @@ def _command_recommend(args: argparse.Namespace) -> int:
                              RecommendationService, SnapshotFormatError)
         engine_kwargs = dict(
             num_shards=args.shards, shard_policy=args.shard_policy,
-            parallel=args.parallel, executor=args.executor,
-            shard_addresses=args.shard_addr,
+            executor=args.executor, shard_addresses=args.shard_addr,
             candidate_mode=args.candidates,
             candidate_factor=args.candidate_factor,
             candidate_escalation=args.adaptive_candidates,
@@ -514,8 +508,7 @@ def _command_recommend(args: argparse.Namespace) -> int:
             from .engine import OnlineRecommendationService, RecommendationService
             engine_kwargs = dict(
                 num_shards=args.shards, shard_policy=args.shard_policy,
-                parallel=args.parallel, executor=args.executor,
-                candidate_mode=args.candidates,
+                executor=args.executor, candidate_mode=args.candidates,
                 candidate_factor=args.candidate_factor,
                 candidate_escalation=args.adaptive_candidates,
                 max_candidate_factor=args.max_candidate_factor)
@@ -588,7 +581,6 @@ def _command_recommend(args: argparse.Namespace) -> int:
         "k": args.top_k,
         "shards": service.num_shards if args.executor == "remote"
         else args.shards,
-        "parallel": bool(args.parallel),
         "recommendations": {str(u): [int(i) for i in row]
                             for u, row in zip(users, top)},
     }

@@ -16,7 +16,6 @@ from .reference_sampling import (
     ReferenceNegativeSampler,
     ReferenceUserBatchIterator,
 )
-from .sampling import BprBatchIterator, UserBatchIterator
 from .synthetic import PRESETS, SyntheticConfig, dataset_preset, generate_dataset, list_presets
 from .loaders import DATASET_CORE_SETTINGS, load_interactions_csv, prepare_split
 
@@ -32,9 +31,7 @@ __all__ = [
     "MultiNegativePipeline",
     "UserRowPipeline",
     "build_pipeline",
-    "BprBatchIterator",
     "NegativeSampler",
-    "UserBatchIterator",
     "ReferenceBprBatchIterator",
     "ReferenceNegativeSampler",
     "ReferenceUserBatchIterator",

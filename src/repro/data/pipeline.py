@@ -28,7 +28,7 @@ distributional parity between the two.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -65,27 +65,13 @@ class NegativeSampler:
     so the result is exactly uniform over each user's non-positive items.
     Users whose positives cover the entire catalogue fall back to a uniform
     item so training can proceed (mirroring :meth:`sample_one`).
-
-    The legacy constructor signature ``NegativeSampler(positive_sets,
-    num_items)`` is kept: per-user sets are converted into the CSR index.
     """
 
-    def __init__(self, positive_sets: Optional[Sequence[set]] = None,
-                 num_items: Optional[int] = None,
+    def __init__(self, index: UserItemIndex,
                  rng: Optional[np.random.Generator] = None, *,
-                 index: Optional[UserItemIndex] = None,
                  max_rounds: int = DEFAULT_MAX_ROUNDS) -> None:
-        if index is None:
-            if positive_sets is None or num_items is None:
-                raise ValueError("need either an index or (positive_sets, num_items)")
-            if num_items <= 0:
-                raise ValueError("num_items must be positive")
-            sets = [sorted(items) for items in positive_sets]
-            users = np.repeat(np.arange(len(sets), dtype=np.int64),
-                              [len(items) for items in sets])
-            items = np.concatenate([np.asarray(s, dtype=np.int64) for s in sets]) \
-                if users.size else np.empty(0, dtype=np.int64)
-            index = UserItemIndex(len(sets), int(num_items), users, items)
+        if index.num_items <= 0:
+            raise ValueError("num_items must be positive")
         if max_rounds < 1:
             raise ValueError("max_rounds must be at least 1")
         self.index = index

@@ -23,10 +23,12 @@ models into a fast, reusable serving path:
   that outgrow one worker: the frozen item matrix splits into S shards
   (contiguous or strided), each shard ranks its own top-k candidates with a
   locally sliced exclusion index, and an exact merge re-ranks the pooled
-  S·k candidates — identical results to the unsharded path.  Fan-out runs
-  through an executor seam (:class:`SerialExecutor` default,
-  :class:`ThreadedExecutor` for GIL-releasing BLAS parallelism); the
-  service exposes it via ``num_shards=…``/``parallel=True``.
+  S·k candidates — identical results to the unsharded path.  Every
+  executor (:class:`SerialExecutor` default, :class:`ThreadedExecutor` for
+  GIL-releasing BLAS parallelism, and the process and remote tiers below)
+  runs each shard request through one function,
+  :func:`~repro.engine.sharding.run_shard_request`; the service exposes it
+  via ``num_shards=…``/``executor=…``.
 
 * :class:`CandidateIndex` / :class:`ShardedCandidateIndex` — two-stage
   top-K for catalogues where even one full-precision pass per request is too
@@ -72,16 +74,16 @@ models into a fast, reusable serving path:
   crc32-checksummed, atomically swapped file.  ``load_snapshot(mmap=True)``
   rebuilds the serving stack as read-only memory-mapped views — O(open)
   worker cold start, pages faulted lazily, bit-identical serving — and
-  :class:`ProcessExecutor` plugs into the executor seam to fan shards out
-  to worker processes that re-open the snapshot by offset (tasks ship
-  ``(snapshot path, shard id, user batch)``, never matrices).  Corrupted or
+  :class:`ProcessExecutor` fans shard requests out to worker processes
+  that re-open the snapshot by offset (requests ship ``(snapshot path,
+  shard id, user batch)``, never matrices).  Corrupted or
   version-skewed files are rejected with :class:`SnapshotFormatError`.
 
 * :class:`ShardServer` / :class:`RemoteExecutor` — the multi-host tier: one
   TCP server process per shard, each holding its mmap'd slice of a
   byte-identical snapshot copy, speaking a length-prefixed binary protocol
-  (no pickle on the wire).  :class:`RemoteExecutor` plugs the same payload
-  seam over sockets — protocol-version + snapshot-fingerprint handshake,
+  (no pickle on the wire).  :class:`RemoteExecutor` sends the same shard
+  requests over sockets — protocol-version + snapshot-fingerprint handshake,
   per-request timeouts, bounded retries with backoff — and the router keeps
   the certified exact merge, so remote serving is bit-identical to the
   serial oracle and *fails closed*: any unreachable/stale/faulty shard

@@ -272,8 +272,8 @@ def _two_stage_block(user_block: np.ndarray, users: np.ndarray,
     ``user_norms`` are the (precomputed, float64) L2 norms of ``user_block``;
     ``rescore`` maps a ``(batch, m)`` local-id matrix to exact scores.
     ``extra_pairs`` is an optional ``(batch row, local item)`` pair set
-    masked on top of ``exclusion`` — exclusion pairs a payload worker's
-    frozen snapshot does not hold (an online overlay's ingested delta).
+    masked on top of ``exclusion`` — exclusion pairs a snapshot-served
+    shard's frozen file does not hold (an online overlay's ingested delta).
     """
     batch = users.size
     num_items = block.num_items
@@ -564,8 +564,8 @@ class ShardedCandidateIndex(_CertifiedTopK):
 
     Every shard quantises its own embedding slice (exactly what a remote
     worker would hold next to — or instead of — its full-precision block),
-    runs the two-stage pipeline locally through the parent's executor seam,
-    and returns its full exactly-rescored candidate set plus its local
+    runs the two-stage pipeline locally through the parent's executor
+    (:func:`~repro.engine.sharding.run_shard_request`), and returns its full exactly-rescored candidate set plus its local
     pruning threshold.  The merge re-ranks the pooled exact scores; the
     batch is certified when the k-th merged score clears both the *largest*
     shard threshold and the pooled runner-up by the rounding slack — no
@@ -599,6 +599,8 @@ class ShardedCandidateIndex(_CertifiedTopK):
                                      item_norms=shard.item_norms)
                 for shard in sharded.shards
             ]
+        # In-process executors resolve a shard's block through the index.
+        sharded.blocks[mode] = self.blocks
         self._max_item_norm = max(
             (float(block.item_norms.max())
              for block in self.blocks if block.num_items), default=0.0)
@@ -627,19 +629,6 @@ class ShardedCandidateIndex(_CertifiedTopK):
     def _exact_backend(self):
         return self.sharded
 
-    def _shard_task(self, shard, block: QuantizedItemBlock,
-                    user_block: np.ndarray, users: np.ndarray,
-                    user_norms: np.ndarray, num_candidates: int,
-                    exclude_train: bool):
-        def rescore(candidates: np.ndarray) -> np.ndarray:
-            return np.einsum("bd,bmd->bm", user_block,
-                             shard.item_embeddings[candidates])
-
-        local_ids, scores, thresholds = _two_stage_block(
-            user_block, users, user_norms, num_candidates, block,
-            shard.exclusion, exclude_train, rescore)
-        return shard.item_ids[local_ids], scores, thresholds
-
     def top_k_with_certificate(
             self, users: Sequence[int], k: int, exclude_train: bool = True,
             factor: Optional[int] = None,
@@ -654,8 +643,13 @@ class ShardedCandidateIndex(_CertifiedTopK):
             user_block.astype(np.float64, copy=False), axis=1)
         with span("candidates.fan_out"), \
                 metrics().timer("candidates.fan_out_s"):
-            results = self._fan_out(users, k, factor, exclude_train,
-                                    user_block, user_norms)
+            # Every shard runs stage 1 and the exact rescore; the certified
+            # merge stays here in the router.
+            override_block, extra = self.sharded._payload_state(
+                users, exclude_train)
+            results = self.sharded.executor.fan_out(
+                "candidates", users, factor * k, self.mode,
+                bool(exclude_train), override_block, extra)
         with span("candidates.merge"), metrics().timer("candidates.merge_s"):
             pooled_ids = np.concatenate([ids for ids, _, _ in results], axis=1)
             pooled_scores = np.concatenate(
@@ -667,30 +661,6 @@ class ShardedCandidateIndex(_CertifiedTopK):
                                   self.sharded.dtype, self.num_items,
                                   self._max_item_norm, factor=factor,
                                   record=record)
-
-    def _fan_out(self, users: np.ndarray, k: int, factor: int,
-                 exclude_train: bool, user_block: np.ndarray,
-                 user_norms: np.ndarray) -> list:
-        if getattr(self.sharded.executor, "ships_payloads", False):
-            # Multi-process fan-out: workers run _two_stage_block over their
-            # own mapped snapshot sections and return the exactly-rescored
-            # candidates; the certified merge stays here in the router.
-            # Router state the snapshot file does not hold (grown user rows,
-            # ingested exclusion pairs) is shipped alongside.
-            override_block, extra = self.sharded._payload_state(
-                users, exclude_train)
-            results = self.sharded.executor.fan_out(
-                "candidates", users, factor * k, self.mode,
-                bool(exclude_train), override_block, extra)
-        else:
-            tasks = [
-                (lambda shard=shard, block=block: self._shard_task(
-                    shard, block, user_block, users, user_norms, factor * k,
-                    exclude_train))
-                for shard, block in zip(self.sharded.shards, self.blocks)
-            ]
-            results = self.sharded.executor.run(tasks)
-        return results
 
     def score_pairs(self, users: Sequence[int],
                     items: Sequence[int]) -> np.ndarray:

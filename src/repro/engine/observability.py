@@ -12,9 +12,8 @@ with the no-op registry (pinned by parity tests and
 histograms.  Histograms keep a numpy-backed bucket vector (log-spaced
 bounds from 1 µs to 50 s by default) plus a bounded window of raw samples
 so ``summary()`` reports *exact* p50/p90/p99 over recent observations,
-computed with the same sort-and-interpolate percentile math as
-``benchmarks/artifacts.py`` (``percentile`` here mirrors it and is pinned
-against ``np.percentile`` by tests).  The process-global registry is
+computed by :func:`percentile` (pinned against ``np.percentile`` by tests;
+the benchmarks' latency summaries use it too).  The process-global registry is
 swappable: ``set_metrics(NullMetricsRegistry())`` turns every hook into a
 no-op, which is how the overhead benchmark measures the cost of telemetry
 itself.
@@ -30,7 +29,7 @@ Instrument catalogue (stable names; ``_s`` suffix = seconds histogram):
                                   plus escalation / exact-fallback counters
 ``sharding.fan_out_s``            executor fan-out wall time; ``sharding.merge_s``
                                   the certified merge; ``sharding.shard.<i>.task_s``
-                                  per-shard work (in-process executors)
+                                  one shard request, in the process that ran it
 ``remote.request_s``              per round-trip; ``remote.shard.<i>.request_s``
                                   per shard; retries / failovers / breaker
                                   transition counters
@@ -109,23 +108,23 @@ DEFAULT_SAMPLE_WINDOW = 4096
 def percentile(samples: Sequence[float], q: float) -> float:
     """Exact percentile with linear interpolation.
 
-    Same math as ``benchmarks/artifacts.py`` (and numpy's default
-    ``np.percentile`` interpolation); duplicated here because the engine
-    package cannot import from ``benchmarks/``.  Pinned against
-    ``np.percentile`` by ``tests/engine/test_observability.py``.
+    Numpy's default ``np.percentile`` interpolation: the rank
+    ``(n - 1) * q / 100`` is split into its integer neighbours and the value
+    interpolated between them.  Pinned against ``np.percentile`` by
+    ``tests/engine/test_observability.py``.  Raises ``ValueError`` on an
+    empty sample set or a ``q`` outside [0, 100].
     """
     if not 0 <= q <= 100:
         raise ValueError(f"percentile out of range: {q}")
     ordered = sorted(float(s) for s in samples)
     if not ordered:
         raise ValueError("no samples")
-    if len(ordered) == 1:
-        return ordered[0]
     rank = (len(ordered) - 1) * (q / 100.0)
     low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
     fraction = rank - low
-    return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
+    if not fraction:
+        return ordered[low]
+    return ordered[low] * (1.0 - fraction) + ordered[low + 1] * fraction
 
 
 class Counter:

@@ -14,9 +14,9 @@ lifetime of a model:
   pass ``out=`` (or ask for the engine's scratch buffer) so repeated
   propagation does not re-allocate ``(N, d)`` arrays every step.
 
-The differentiable entry point :meth:`PropagationEngine.apply` replaces the
-old ``repro.autograd.sparse_ops.sparse_matmul`` free function; that module
-now delegates here.
+The differentiable entry point is :meth:`PropagationEngine.apply`: it
+records the product in the autograd graph, and its backward pass is the
+cached-transpose product.
 """
 
 from __future__ import annotations

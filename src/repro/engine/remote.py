@@ -1,21 +1,21 @@
 """Multi-host shard serving: TCP shard servers + a socket-backed executor.
 
-The executor seam (:mod:`repro.engine.sharding`) already abstracts *where* a
-shard task runs: a payload-shipping executor receives task *descriptions*
-(``("top_k", users, k, …)``) instead of closures, executes them against its
-own mmap'd view of the snapshot file, and hands small per-shard candidate
-arrays back to the router, which keeps the certified exact S·k merge.  This
-module adds the last transport: the same payloads over a socket, so one
-catalogue spreads across hosts.
+Every executor (:mod:`repro.engine.sharding`) fans out the same shard
+requests (``("top_k", users, k, …)``) and runs each one through
+:func:`~repro.engine.sharding.run_shard_request`; they differ only in where
+that runs and in what resolves a shard id to its state.  The router keeps
+the certified exact S·k merge.  This module adds the last transport: the
+same requests over a socket, run against each shard host's own mmap'd view
+of the snapshot file, so one catalogue spreads across hosts.
 
 * :class:`ShardServer` — one process, one shard.  Opens its slice of a
-  published snapshot (zero-copy, via the PR 6 worker cache) and serves exact
-  top-k and certified two-stage candidate payloads over a length-prefixed
-  binary protocol.  Router-side divergence (``user_block`` overrides after
-  online user growth, ``extra_pairs`` exclusions the file does not hold)
-  rides along with each request exactly as it does for the process executor,
-  so online serving over sockets stays bit-identical too.
-* :class:`RemoteExecutor` — ``ships_payloads`` executor bound to one
+  published snapshot (zero-copy, via the snapshot worker cache) and answers
+  exact top-k and certified two-stage candidate requests over a
+  length-prefixed binary protocol.  Router-side divergence (``user_block``
+  overrides after online user growth, ``extra_pairs`` exclusions the file
+  does not hold) rides along with each request exactly as it does for the
+  process executor, so online serving over sockets stays bit-identical too.
+* :class:`RemoteExecutor` — a snapshot-served executor bound to one
   *replica set* per shard (``[["h1:p", "h2:p"], …]``; a plain ``host:port``
   string is a replica set of one).  Fans each request out to every shard
   concurrently and returns results in shard order; the router's merge is
@@ -83,12 +83,8 @@ from .observability import (
     shard_reply_trace,
     trace_request_fields,
 )
-from .sharding import PARTITION_POLICIES, _ExecutorBase
-from .snapshot import (
-    _execute_shard_payload,
-    _worker_shard,
-    snapshot_fingerprint,
-)
+from .sharding import PARTITION_POLICIES, _ExecutorBase, run_shard_request
+from .snapshot import _SnapshotShards, _worker_shard, snapshot_fingerprint
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -360,8 +356,9 @@ class ShardServer:
     One server process holds one shard: at construction it opens its slice
     of ``snapshot_path`` through the shared worker cache (so launch fails
     fast on a missing/corrupt file) and then answers ``top_k`` /
-    ``candidates`` payloads exactly as a process-pool worker would — same
-    cache, same divergence shipping, same republish detection.
+    ``candidates`` requests exactly as a process-pool worker would — same
+    function, same cache, same divergence shipping, same republish
+    detection.
 
     ``port=0`` binds an ephemeral port; read :attr:`address` after
     construction.  ``start()`` serves from a daemon thread (tests, embedded
@@ -403,6 +400,8 @@ class ShardServer:
         self.num_users = int(user_embeddings.shape[0])
         self.num_items = int(snapshot.num_items)
         self.shard_items = int(shard.item_ids.size)
+        self._resolver = _SnapshotShards(self.snapshot_path, self.num_shards,
+                                         self.policy)
         self.requests_served = 0
         self._count_lock = threading.Lock()
         self._server = _ShardTCPServer((host, int(port)), _ShardRequestHandler)
@@ -497,39 +496,27 @@ class ShardServer:
         return reply, True
 
     def _execute(self, kind: str, fields: dict, arrays: dict) -> bytes:
-        """Decode a request into a worker payload, run it, frame the reply."""
+        """Decode a shard request, run it, frame the reply."""
         users = np.ascontiguousarray(arrays["users"], dtype=np.int64)
-        user_block = arrays.get("user_block")
         extra = None
         if "extra_rows" in arrays:
             extra = (np.ascontiguousarray(arrays["extra_rows"]),
                      np.ascontiguousarray(arrays["extra_cols"]))
-        prefix = (kind, self.snapshot_path, self.num_shards, self.policy,
-                  self.shard_id)
-        started = time.perf_counter()
         if kind == "top_k":
-            payload = prefix + (users, int(fields["k"]),
-                                bool(fields["exclude_train"]), user_block,
-                                extra)
-            ids, scores = _execute_shard_payload(payload)
-            duration = time.perf_counter() - started
-            reply = encode_message(
-                "top_k_result",
-                shard_reply_trace(fields, shard_id=self.shard_id, kind=kind,
-                                  duration=duration),
-                {"ids": ids, "scores": scores})
+            request = (users, int(fields["k"]))
         else:
-            payload = prefix + (users, int(fields["num_candidates"]),
-                                fields["mode"], bool(fields["exclude_train"]),
-                                user_block, extra)
-            ids, scores, thresholds = _execute_shard_payload(payload)
-            duration = time.perf_counter() - started
-            reply = encode_message(
-                "candidates_result",
-                shard_reply_trace(fields, shard_id=self.shard_id, kind=kind,
-                                  duration=duration),
-                {"ids": ids, "scores": scores,
-                 "thresholds": thresholds})
+            request = (users, int(fields["num_candidates"]), fields["mode"])
+        request += (bool(fields["exclude_train"]), arrays.get("user_block"),
+                    extra)
+        started = time.perf_counter()
+        result = run_shard_request(self._resolver, self.shard_id, kind,
+                                   *request)
+        duration = time.perf_counter() - started
+        reply = encode_message(
+            f"{kind}_result",
+            shard_reply_trace(fields, shard_id=self.shard_id, kind=kind,
+                              duration=duration),
+            dict(zip(("ids", "scores", "thresholds"), result)))
         registry = metrics()
         registry.inc("server.requests")
         registry.observe("server.request_s", duration)
@@ -593,7 +580,7 @@ class _ReplicaState:
 
 
 class RemoteExecutor(_ExecutorBase):
-    """Fan shard payloads out to :class:`ShardServer` endpoints over TCP.
+    """Fan shard requests out to :class:`ShardServer` endpoints over TCP.
 
     Entry ``i`` of ``addresses`` is shard ``i``'s *replica set* (see
     :func:`parse_replica_set`; a plain ``"host:port"`` string is a set of
@@ -618,8 +605,7 @@ class RemoteExecutor(_ExecutorBase):
     subset.
     """
 
-    parallel = True
-    ships_payloads = True
+    serves_snapshot = True
     is_remote = True
 
     def __init__(self, addresses: Sequence, *, snapshot_path=None,
@@ -684,19 +670,13 @@ class RemoteExecutor(_ExecutorBase):
 
     # -- executor seam -------------------------------------------------- #
 
-    def bind_check(self, num_shards: int, policy: str) -> None:
+    def bind(self, index) -> None:
         """Reject binding to an index whose geometry the shards don't hold."""
-        if num_shards != self.num_shards or policy != self.policy:
+        if index.num_shards != self.num_shards or index.policy != self.policy:
             raise ValueError(
                 f"RemoteExecutor is bound to {self.num_shards} "
                 f"{self.policy!r} shards at {self._address_text()}; cannot "
-                f"serve {num_shards} {policy!r} shards")
-
-    def run(self, tasks: Sequence) -> list:
-        raise TypeError(
-            "RemoteExecutor ships shard payloads over sockets, not "
-            "in-process closures; use it through a ShardedInferenceIndex "
-            "built over the same snapshot")
+                f"serve {index.num_shards} {index.policy!r} shards")
 
     def fan_out(self, kind: str, *request) -> list:
         """Send one request per shard; results come back in shard order.
@@ -826,7 +806,7 @@ class RemoteExecutor(_ExecutorBase):
             fields = {"num_candidates": int(num_candidates), "mode": mode,
                       "exclude_train": bool(exclude_train)}
         else:
-            raise ValueError(f"unknown shard payload kind {kind!r}")
+            raise ValueError(f"unknown shard request kind {kind!r}")
         if trace_fields:
             fields.update(trace_fields)
         arrays = {"users": np.asarray(users, dtype=np.int64),

@@ -10,8 +10,9 @@ requests.  Repeated single-user requests hit an LRU cache keyed by
 With ``num_shards > 1`` the service routes every request through a
 :class:`repro.engine.sharding.ShardedInferenceIndex` — the item catalogue is
 partitioned item-wise, each shard ranks its own candidates, and the exact
-merge reproduces the unsharded ranking.  ``parallel=True`` swaps the serial
-fan-out for a thread pool (shard scoring is BLAS-bound and releases the GIL).
+merge reproduces the unsharded ranking.  ``executor="threads"`` swaps the
+serial fan-out for a thread pool (shard scoring is BLAS-bound and releases
+the GIL).
 
 With ``candidate_mode`` set (``"int8"`` or ``"float32"``) top-K requests run
 the two-stage pipeline of :mod:`repro.engine.candidates`: a quantised
@@ -30,7 +31,7 @@ instead of receiving pickled matrices.  Serving from a snapshot is
 bit-identical to serving from the index it was saved from.
 
 With ``executor="remote"`` (plus ``shard_addresses=["host:port", …]``) the
-same payloads cross machine boundaries instead: each address is a
+same shard requests cross machine boundaries instead: each address is a
 :class:`repro.engine.remote.ShardServer` holding a byte-identical copy of
 the snapshot, pinned by a content-fingerprint handshake, and the router
 keeps the exact merge — remote serving is bit-identical and fails closed
@@ -88,23 +89,20 @@ class RecommendationService:
         the fan-out/merge path (1 keeps the single-matrix path).
     shard_policy:
         ``"contiguous"`` (default) or ``"strided"`` item partitioning.
-    parallel:
-        Fan shard requests out over a thread pool instead of serially.
-        Only meaningful with ``num_shards > 1``.
     executor:
-        Explicit fan-out executor (overrides ``parallel``): any object with
-        ``run(tasks) -> results`` and ``close()``, or one of the
-        ``EXECUTOR_NAMES`` strings — ``"serial"``, ``"threads"``,
+        The fan-out executor: one of the ``EXECUTOR_NAMES`` strings —
+        ``"serial"`` (the default), ``"threads"`` (a thread pool),
         ``"process"`` (multi-process fan-out; requires ``snapshot=…`` because
         worker processes re-open the snapshot file instead of receiving
         pickled matrices) or ``"remote"`` (socket fan-out to
         :class:`repro.engine.remote.ShardServer` endpoints; requires
-        ``snapshot=…`` and ``shard_addresses``).  With ``num_shards == 1``
-        and no remote addresses a string executor is never constructed at
-        all — single-shard serving stays on the single-matrix path and never
+        ``snapshot=…`` and ``shard_addresses``) — or an executor object from
+        :mod:`repro.engine.sharding` (``bind(index)``, ``fan_out(kind,
+        *request)``, ``close()``).  With ``num_shards == 1`` and no remote
+        addresses a string executor is never constructed at all —
+        single-shard serving stays on the single-matrix path and never
         crosses the fan-out seam.  The service owns the executor it resolves
-        from a string or builds from ``parallel`` and shuts it down in
-        :meth:`close` / ``with`` exit.
+        from a string and shuts it down in :meth:`close` / ``with`` exit.
     shard_addresses:
         One replica set per shard *in shard order*, for
         ``executor="remote"`` (implied when given): ``"host:port"`` for a
@@ -134,7 +132,7 @@ class RecommendationService:
                  snapshot=None,
                  dtype=np.float64, batch_size: int = 1024,
                  cache_size: int = 4096, num_shards: int = 1,
-                 shard_policy: str = "contiguous", parallel: bool = False,
+                 shard_policy: str = "contiguous",
                  executor=None, shard_addresses=None,
                  candidate_mode: Optional[str] = None,
                  candidate_factor: int = 4,
@@ -160,9 +158,6 @@ class RecommendationService:
         self.num_shards = int(num_shards)
         if self.num_shards <= 0:
             raise ValueError("num_shards must be positive")
-        if parallel and self.num_shards <= 1:
-            raise ValueError("parallel=True fans out shard scoring and "
-                             "requires num_shards > 1")
         self.shard_policy = shard_policy
         self.candidate_mode = candidate_mode
         self.candidate_factor = int(candidate_factor)
@@ -191,30 +186,11 @@ class RecommendationService:
                 raise ValueError("shard_addresses fan requests out over "
                                  "sockets and only applies to "
                                  "executor='remote'")
-        if isinstance(executor, str):
-            if executor not in EXECUTOR_NAMES:
-                raise ValueError(f"unknown executor {executor!r}; "
-                                 f"options: {EXECUTOR_NAMES}")
-            if executor == "process" and self._snapshot is None:
-                raise ValueError(
-                    "executor='process' ships (snapshot path, shard id, user "
-                    "batch) payloads to worker processes and requires "
-                    "snapshot=…")
-            if executor == "remote":
-                executor = self._resolve_remote_executor()
-            elif self.num_shards == 1:
-                # Single-shard serving never crosses the fan-out seam, so
-                # there is no pool to build — requests go straight to the
-                # single-matrix path below.
-                executor = None
-            else:
-                executor = self._resolve_executor(executor)
-        if getattr(executor, "is_remote", False) and self.num_shards == 1:
+        self._executor = self._resolve_executor(executor)
+        if getattr(self._executor, "is_remote", False) and self.num_shards == 1:
             # One address per shard: a remote geometry is authoritative even
             # when num_shards was left at its default.
-            self.num_shards = int(executor.num_shards)
-        self._executor = executor if executor is not None else (
-            ThreadedExecutor() if parallel else SerialExecutor())
+            self.num_shards = int(self._executor.num_shards)
         self._model = model
         self._split = split
         self._dtype = dtype
@@ -238,42 +214,40 @@ class RecommendationService:
         self.cache_hits = 0
         self.cache_misses = 0
 
-    def _resolve_executor(self, name: str):
-        """An owned executor instance for one of the ``EXECUTOR_NAMES``."""
-        if name == "serial":
+    def _resolve_executor(self, executor):
+        """The fan-out executor: ``executor`` itself, or an owned one built
+        for one of the ``EXECUTOR_NAMES``."""
+        if executor is None:
             return SerialExecutor()
-        if name == "threads":
-            return ThreadedExecutor()
-        if name == "process":
-            if self._snapshot is None:
+        if not isinstance(executor, str):
+            return executor
+        if executor not in EXECUTOR_NAMES:
+            raise ValueError(f"unknown executor {executor!r}; "
+                             f"options: {EXECUTOR_NAMES}")
+        if executor in ("process", "remote") and self._snapshot is None:
+            raise ValueError(
+                f"executor={executor!r} serves shard requests from the "
+                f"snapshot file (remote shards are pinned to it by a "
+                f"content-fingerprint handshake) and requires snapshot=…")
+        if executor == "remote":
+            if not self.shard_addresses:
                 raise ValueError(
-                    "executor='process' ships (snapshot path, shard id, user "
-                    "batch) payloads to worker processes and requires "
-                    "snapshot=…")
-            return ProcessExecutor(self._snapshot.path, self.num_shards,
-                                   policy=self.shard_policy)
-        if name == "remote":
-            return self._resolve_remote_executor()
-        raise ValueError(f"unknown executor {name!r}; "
-                         f"options: {EXECUTOR_NAMES}")
+                    "executor='remote' needs shard_addresses=['host:port', …]"
+                    " — one shard-server address per shard, in shard order")
+            from .remote import RemoteExecutor
 
-    def _resolve_remote_executor(self):
-        """A :class:`RemoteExecutor` over ``shard_addresses``, fingerprint-
-        pinned to this service's snapshot."""
-        if self._snapshot is None:
-            raise ValueError(
-                "executor='remote' pins shard servers to this router's "
-                "snapshot via a content-fingerprint handshake and requires "
-                "snapshot=…")
-        if not self.shard_addresses:
-            raise ValueError(
-                "executor='remote' needs shard_addresses=['host:port', …] — "
-                "one shard-server address per shard, in shard order")
-        from .remote import RemoteExecutor
-
-        return RemoteExecutor(self.shard_addresses,
-                              snapshot_path=self._snapshot.path,
-                              policy=self.shard_policy)
+            return RemoteExecutor(self.shard_addresses,
+                                  snapshot_path=self._snapshot.path,
+                                  policy=self.shard_policy)
+        if executor == "serial" or self.num_shards == 1:
+            # Single-shard serving never crosses the fan-out seam, so there
+            # is no pool to build — requests go straight to the
+            # single-matrix path.
+            return SerialExecutor()
+        if executor == "threads":
+            return ThreadedExecutor()
+        return ProcessExecutor(self._snapshot.path, self.num_shards,
+                               policy=self.shard_policy)
 
     def _build_candidates(self):
         """The two-stage backend for the current snapshot (or ``None``)."""
@@ -384,8 +358,8 @@ class RecommendationService:
             # identical results, so keep everything — the sharded slices, the
             # quantised blocks, the LRU cache and the certificate counters.
             return self
-        if getattr(self._executor, "ships_payloads", False):
-            # Payload workers rebuild from the on-disk snapshot, which still
+        if self._executor.serves_snapshot:
+            # Its workers rebuild from the on-disk snapshot, which still
             # holds the superseded embeddings; carrying the executor over
             # would silently fan requests out to stale matrices.
             raise ValueError(

@@ -15,16 +15,20 @@ item-embedding matrix **item-wise** into ``S`` shards:
   exclusion's flat (user, item) pairs down to this shard's items and remapping
   them to local columns — so per-shard train masking stays one flat-index
   assignment, never a per-user Python loop.
-* :class:`ShardedInferenceIndex` — the serving facade.  ``top_k`` gathers the
-  user block once, fans ``local_top_k`` out across shards through an executor
-  seam, concatenates the per-shard ``(global ids, scores)`` candidate lists
-  (``S·k`` candidates per user) and re-ranks them exactly — mathematically
-  identical to unsharded top-K because every item's score appears in exactly
-  one shard's candidate list whenever it could enter the global top-K.
-* :class:`SerialExecutor` / :class:`ThreadedExecutor` — the fan-out seam.
-  Shard scoring is one BLAS matmul per shard, which releases the GIL, so the
-  thread-pool executor gives real parallelism without processes; the serial
-  executor is the dependency-free default and the reference for tests.
+* :class:`ShardedInferenceIndex` — the serving facade.  ``top_k`` fans one
+  shard request out across shards through an executor, concatenates the
+  per-shard ``(global ids, scores)`` candidate lists (``S·k`` candidates per
+  user) and re-ranks them exactly — mathematically identical to unsharded
+  top-K because every item's score appears in exactly one shard's candidate
+  list whenever it could enter the global top-K.
+* :func:`run_shard_request` — the one shard-side code path.  Every executor
+  runs every request through it; they differ only in where it runs and in
+  what resolves a shard id to its state.  :class:`SerialExecutor` (the
+  dependency-free default and the reference for tests) and
+  :class:`ThreadedExecutor` (shard scoring is one BLAS matmul per shard,
+  which releases the GIL) resolve the live shards of the index they are
+  bound to; :class:`ProcessExecutor` workers and the remote shard servers
+  resolve the mmap'd snapshot file.
 
 Correctness of the merge: each shard returns its local top ``min(k, n_s)``
 (an empty candidate list for empty shards).  Any item in the global top-k is
@@ -49,14 +53,6 @@ from .index import InferenceIndex, UserItemIndex, top_k_indices
 from .observability import metrics, span
 
 
-def _timed_shard_task(shard_id: int, task):
-    """Run one shard's closure, observing its wall time per shard."""
-    start = time.perf_counter()
-    result = task()
-    metrics().observe(f"sharding.shard.{shard_id}.task_s",
-                      time.perf_counter() - start)
-    return result
-
 __all__ = [
     "partition_items",
     "ItemShard",
@@ -64,6 +60,7 @@ __all__ = [
     "SerialExecutor",
     "ThreadedExecutor",
     "ProcessExecutor",
+    "run_shard_request",
 ]
 
 PARTITION_POLICIES = ("contiguous", "strided")
@@ -92,13 +89,99 @@ def partition_items(num_items: int, num_shards: int,
                      f"options: {PARTITION_POLICIES}")
 
 
-class _ExecutorBase:
-    """Shared executor plumbing: context management + worker validation.
+def _locate_extra_pairs(shard: "ItemShard", extra) -> Optional[tuple]:
+    """This shard's (batch row, local column) slice of shipped extra pairs.
 
-    Every executor is context-manageable (``with ThreadedExecutor() as ex:``)
-    and idempotently closeable, so pools are released deterministically
+    ``extra`` is the router's ``(batch row, global item)`` exclusion pairs
+    the snapshot file does not hold (see
+    :meth:`ShardedInferenceIndex._payload_state`), or ``None``.
+    """
+    if extra is None:
+        return None
+    rows, items = extra
+    owned, local = shard.locate(items)
+    if not owned.any():
+        return None
+    return rows[owned], local[owned]
+
+
+def run_shard_request(resolver, shard_id: int, kind: str, *request):
+    """Run one shard request on one shard: the only shard-side code path.
+
+    Every executor ends here.  Serial and threaded fan-out pass the live
+    :class:`ShardedInferenceIndex` as ``resolver``; process workers and
+    :class:`~repro.engine.remote.ShardServer` pass the mmap'd snapshot
+    (:class:`~repro.engine.snapshot._SnapshotShards`).  A resolver answers
+    ``shard_state(shard_id) -> (ItemShard, user matrix)`` and
+    ``shard_block(shard_id, mode) -> QuantizedItemBlock``.
+
+    Requests (``kind`` first)::
+
+        ("top_k", users, k, exclude_train, user_block, extra_pairs)
+        ("candidates", users, num_candidates, mode, exclude_train,
+         user_block, extra_pairs)
+
+    ``user_block`` replaces the resolver's user rows and ``extra_pairs``
+    adds ``(batch row, global item)`` exclusions: router state the snapshot
+    file does not hold, ``None`` otherwise.  ``top_k`` returns the shard's
+    best-first ``(global ids, scores)``; ``candidates`` returns ``(global
+    ids, exact scores, thresholds)`` from one two-stage pass.
+    """
+    start = time.perf_counter()
+    if kind == "top_k":
+        users, k, exclude_train, user_block, extra = request
+    elif kind == "candidates":
+        users, num_candidates, mode, exclude_train, user_block, extra = request
+    else:
+        raise ValueError(f"unknown shard request kind {kind!r}")
+    shard, user_embeddings = resolver.shard_state(shard_id)
+    if user_block is None:
+        user_block = np.asarray(user_embeddings[users])
+    extra = _locate_extra_pairs(shard, extra)
+    if kind == "top_k":
+        result = shard.local_top_k(user_block, users, k, exclude_train,
+                                   extra_pairs=extra)
+    else:
+        from .candidates import _two_stage_block
+
+        user_norms = np.linalg.norm(
+            user_block.astype(np.float64, copy=False), axis=1)
+
+        def rescore(candidates: np.ndarray) -> np.ndarray:
+            return np.einsum("bd,bmd->bm", user_block,
+                             shard.item_embeddings[candidates])
+
+        local_ids, scores, thresholds = _two_stage_block(
+            user_block, users, user_norms, num_candidates,
+            resolver.shard_block(shard_id, mode), shard.exclusion,
+            exclude_train, rescore, extra_pairs=extra)
+        result = shard.item_ids[local_ids], scores, thresholds
+    metrics().observe(f"sharding.shard.{shard_id}.task_s",
+                      time.perf_counter() - start)
+    return result
+
+
+class _ExecutorBase:
+    """Shared executor plumbing: binding, fan-out, pool lifetime.
+
+    An executor is bound once, when a :class:`ShardedInferenceIndex` is
+    built over it (:meth:`bind`).  After that it exposes :meth:`fan_out`
+    and :meth:`close`.  The in-process executors bind the index itself as
+    their shard resolver; binding again (``refresh()`` re-sharding fresh
+    embeddings) moves them to the new index.  Every executor is
+    context-manageable (``with ThreadedExecutor() as ex:``) and
+    idempotently closeable, so pools are released deterministically
     instead of lingering until interpreter shutdown.
     """
+
+    #: Whether shard requests run against the on-disk snapshot (process and
+    #: remote workers) rather than this process's live shards.  Router state
+    #: that diverged from the file must then ship with every request.
+    serves_snapshot = False
+
+    num_shards = 0
+    _resolver = None
+    _pool = None
 
     def __enter__(self):
         return self
@@ -106,8 +189,35 @@ class _ExecutorBase:
     def __exit__(self, exc_type, exc_value, traceback) -> None:
         self.close()
 
+    def bind(self, index: "ShardedInferenceIndex") -> None:
+        """Serve ``index``'s live shards."""
+        self._resolver = index
+        self.num_shards = index.num_shards
+
+    def _new_pool(self):
+        """A worker pool for multi-shard fan-out, or ``None`` to run inline."""
+        return None
+
+    def fan_out(self, kind: str, *request) -> list:
+        """Run ``request`` on every shard; results come back in shard order.
+
+        One shard always runs inline: it gains nothing from a pool.
+        """
+        if self._pool is None and self.num_shards > 1:
+            self._pool = self._new_pool()
+        if self._pool is None:
+            return [run_shard_request(self._resolver, shard_id, kind, *request)
+                    for shard_id in range(self.num_shards)]
+        futures = [self._pool.submit(run_shard_request, self._resolver,
+                                     shard_id, kind, *request)
+                   for shard_id in range(self.num_shards)]
+        return [future.result() for future in futures]
+
     def close(self) -> None:
-        """Release any worker pool (idempotent; a no-op by default)."""
+        """Release the worker pool, if one was started (idempotent)."""
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
 
     @staticmethod
     def _validate_max_workers(max_workers: Optional[int]) -> Optional[int]:
@@ -120,82 +230,64 @@ class _ExecutorBase:
 
 
 class SerialExecutor(_ExecutorBase):
-    """Run shard tasks inline, in shard order (the dependency-free default)."""
-
-    parallel = False
-
-    def run(self, tasks: Sequence) -> list:
-        return [task() for task in tasks]
+    """Run shard requests inline, in shard order (the dependency-free default)."""
 
     def __repr__(self) -> str:
         return "SerialExecutor()"
 
 
 class ThreadedExecutor(_ExecutorBase):
-    """Fan shard tasks out over a lazily created thread pool.
+    """Fan shard requests out over a lazily created thread pool.
 
     Shard scoring is NumPy/BLAS-bound and releases the GIL, so threads give
     genuine parallelism here without pickling embeddings across processes.
-    Results always come back in task (= shard) order, like the serial
-    executor, so the merge is executor-independent.
+    Results always come back in shard order, like the serial executor, so
+    the merge is executor-independent.
     """
-
-    parallel = True
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
         self.max_workers = self._validate_max_workers(max_workers)
-        self._pool: Optional[ThreadPoolExecutor] = None
 
-    def run(self, tasks: Sequence) -> list:
-        if len(tasks) <= 1:
-            return [task() for task in tasks]
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
-        futures = [self._pool.submit(task) for task in tasks]
-        return [future.result() for future in futures]
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+    def _new_pool(self):
+        return ThreadPoolExecutor(max_workers=self.max_workers)
 
     def __repr__(self) -> str:
         return f"ThreadedExecutor(max_workers={self.max_workers})"
 
 
 class ProcessExecutor(_ExecutorBase):
-    """Fan shard tasks out to worker *processes* over an mmap'd snapshot.
+    """Fan shard requests out to worker *processes* over an mmap'd snapshot.
 
     Threads share the in-process matrices; processes cannot — so instead of
-    pickling embedding slices per task, every worker opens the shard's
+    pickling embedding slices per request, every worker opens the shard's
     sections of one on-disk snapshot (:mod:`repro.engine.snapshot`) by
-    offset, zero-copy, and caches them for the life of the process.  A task
-    ships only ``(snapshot_path, shard geometry, shard_id, user batch)`` and
-    returns one small per-shard candidate array, so steady-state IPC is
-    O(batch x k) — never O(items x dim).
+    offset, zero-copy, and caches them for the life of the process.  A
+    request ships only the snapshot resolver ``(path, shard geometry)``,
+    the shard id and the user batch, and returns one small per-shard
+    candidate array, so steady-state IPC is O(batch x k) — never
+    O(items x dim).
 
     The executor is bound to one snapshot + shard geometry at construction;
-    :class:`ShardedInferenceIndex` / :class:`ShardedCandidateIndex` built
-    over the *same* snapshot detect ``ships_payloads`` and describe their
-    shard tasks instead of closing over matrices, keeping the certified
-    merge (and hence bit-exactness) in the router.  Mismatched geometry is
-    rejected at bind time.  Router state that has diverged from the frozen
-    file — a rebound (grown) user matrix, exclusion pairs ingested into an
-    online overlay — rides along with each task
-    (:meth:`ShardedInferenceIndex._payload_state`), so online serving over a
-    process executor stays bit-identical to the in-process path.
+    binding it to an index of another geometry raises.  The router keeps
+    the certified merge (and hence bit-exactness).  Router state that has
+    diverged from the frozen file — a rebound (grown) user matrix,
+    exclusion pairs ingested into an online overlay — rides along with
+    each request (:meth:`ShardedInferenceIndex._payload_state`), so online
+    serving over a process executor stays bit-identical to the in-process
+    path.
 
     The same snapshot file is the worker's entire world, which is exactly
     the multi-host shape: replace the process pool with a socket to a shard
     server holding the same file and nothing else changes.
     """
 
-    parallel = True
-    ships_payloads = True
+    serves_snapshot = True
 
     def __init__(self, snapshot_path, num_shards: int, *,
                  policy: str = "contiguous",
                  max_workers: Optional[int] = None) -> None:
+        from .snapshot import _SnapshotShards
+
         self.snapshot_path = str(snapshot_path)
         self.num_shards = int(num_shards)
         if self.num_shards < 1:
@@ -205,47 +297,20 @@ class ProcessExecutor(_ExecutorBase):
                              f"options: {PARTITION_POLICIES}")
         self.policy = policy
         self.max_workers = self._validate_max_workers(max_workers)
-        self._pool: Optional[ProcessPoolExecutor] = None
+        self._resolver = _SnapshotShards(self.snapshot_path, self.num_shards,
+                                         policy)
 
-    def bind_check(self, num_shards: int, policy: str) -> None:
+    def bind(self, index: "ShardedInferenceIndex") -> None:
         """Reject binding to an index whose geometry the workers don't hold."""
-        if num_shards != self.num_shards or policy != self.policy:
+        if index.num_shards != self.num_shards or index.policy != self.policy:
             raise ValueError(
                 f"ProcessExecutor is bound to {self.num_shards} "
                 f"{self.policy!r} shards of {self.snapshot_path}; cannot "
-                f"serve {num_shards} {policy!r} shards")
+                f"serve {index.num_shards} {index.policy!r} shards")
 
-    def run(self, tasks: Sequence) -> list:
-        raise TypeError(
-            "ProcessExecutor ships picklable shard payloads, not in-process "
-            "closures; use it through a ShardedInferenceIndex built over the "
-            "same snapshot")
-
-    def fan_out(self, kind: str, *request) -> list:
-        """Run one payload per shard; results come back in shard order."""
-        payloads = [
-            (kind, self.snapshot_path, self.num_shards, self.policy, shard_id)
-            + request
-            for shard_id in range(self.num_shards)
-        ]
-        from .snapshot import _execute_shard_payload
-
-        if self.num_shards == 1:
-            # One shard gains nothing from IPC; run it inline (the worker
-            # cache makes repeated calls cheap).
-            return [_execute_shard_payload(payloads[0])]
-        if self._pool is None:
-            workers = self.max_workers or min(self.num_shards,
-                                              os.cpu_count() or 1)
-            self._pool = ProcessPoolExecutor(max_workers=workers)
-        futures = [self._pool.submit(_execute_shard_payload, payload)
-                   for payload in payloads]
-        return [future.result() for future in futures]
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+    def _new_pool(self):
+        workers = self.max_workers or min(self.num_shards, os.cpu_count() or 1)
+        return ProcessPoolExecutor(max_workers=workers)
 
     def __repr__(self) -> str:
         return (f"ProcessExecutor(snapshot={self.snapshot_path!r}, "
@@ -348,9 +413,9 @@ class ItemShard:
         """Dense ``(len(users), num_local_items)`` block, train items masked.
 
         ``extra_pairs`` is an optional ``(batch row, local column)`` pair set
-        masked on top of the shard's own exclusion — how a payload worker
-        applies exclusion pairs the frozen snapshot does not hold (an online
-        overlay's ingested delta).
+        masked on top of the shard's own exclusion — how a snapshot-served
+        shard applies exclusion pairs the frozen file does not hold (an
+        online overlay's ingested delta).
         """
         scores = user_block @ self.item_embeddings.T
         if exclude_train:
@@ -418,19 +483,19 @@ class ShardedInferenceIndex:
             raise ValueError(
                 f"shards cover {covered} items, catalogue has {self.num_items}")
         self.exclusion = exclusion
-        self.executor = executor if executor is not None else SerialExecutor()
         self.policy = policy
-        if getattr(self.executor, "ships_payloads", False):
-            # Payload executors (multi-process fan-out) hold their own copy
-            # of the shard geometry; a mismatch would merge candidates from
-            # a different partition.
-            self.executor.bind_check(len(self.shards), policy)
-        # Bind-time references to the state payload workers rebuild from the
-        # snapshot file.  Later router-side swaps (a rebound user matrix for
-        # grown users, an online exclusion overlay) are detected against
-        # these and shipped alongside every payload task.
+        #: Per-shard quantised blocks by candidate mode, registered by
+        #: :class:`~repro.engine.candidates.ShardedCandidateIndex` so the
+        #: in-process executors can resolve them.
+        self.blocks: dict = {}
+        # Bind-time references to the state snapshot workers rebuild from
+        # the file.  Later router-side swaps (a rebound user matrix for grown
+        # users, an online exclusion overlay) are detected against these and
+        # shipped alongside every snapshot-served request.
         self._baseline_users = self.user_embeddings
         self._baseline_exclusion = self.exclusion
+        self.executor = executor if executor is not None else SerialExecutor()
+        self.executor.bind(self)
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -525,23 +590,35 @@ class ShardedInferenceIndex:
         self.num_users = int(user_embeddings.shape[0])
 
     # ------------------------------------------------------------------ #
-    def _payload_state(self, users: np.ndarray, exclude_train: bool) -> tuple:
-        """Router-vs-snapshot divergence to ship with payload tasks.
+    def shard_state(self, shard_id: int) -> tuple:
+        """Shard resolver for in-process executors: the live shard and user
+        matrix (see :func:`run_shard_request`)."""
+        return self.shards[shard_id], self.user_embeddings
 
-        Payload workers rebuild their shard state from the frozen snapshot
-        file, so anything the router changed since binding must ride along
-        or the workers silently serve stale state: a rebound user matrix
-        (online serving appends fallback rows for grown user ids the
-        snapshot has no row for — workers would raise ``IndexError``) and
-        exclusion pairs the file does not hold (an overlay's ingested
-        delta, or a compacted base CSR superseding the stored one —
-        workers would recommend freshly consumed items back).
+    def shard_block(self, shard_id: int, mode: str):
+        """Shard resolver: the shard's registered quantised block of ``mode``."""
+        return self.blocks[mode][shard_id]
+
+    def _payload_state(self, users: np.ndarray, exclude_train: bool) -> tuple:
+        """Router-vs-snapshot divergence to ship with every shard request.
+
+        In-process executors resolve the live shards, so nothing diverges
+        and this returns ``(None, None)``.  Snapshot-served executors rebuild
+        their shard state from the frozen file, so anything the router
+        changed since binding must ride along or the workers silently serve
+        stale state: a rebound user matrix (online serving appends fallback
+        rows for grown user ids the snapshot has no row for — workers would
+        raise ``IndexError``) and exclusion pairs the file does not hold (an
+        overlay's ingested delta, or a compacted base CSR superseding the
+        stored one — workers would recommend freshly consumed items back).
 
         Returns ``(user_block, extra_pairs)``: the gathered user rows when
         the router's matrix is no longer the bind-time one (else ``None``),
         and the ``(batch row, global item)`` exclusion pairs missing from
         the snapshot (else ``None``).
         """
+        if not self.executor.serves_snapshot:
+            return None, None
         user_block = None
         if self.user_embeddings is not self._baseline_users:
             user_block = np.ascontiguousarray(self.user_embeddings[users])
@@ -583,8 +660,7 @@ class ShardedInferenceIndex:
               exclude_train: bool = True) -> np.ndarray:
         """Top-``k`` item ids per user, best first — fan out, merge exactly.
 
-        The user embedding block is gathered once and shared by every shard
-        task; each shard contributes ``min(k, items_in_shard)`` candidates,
+        Each shard contributes ``min(k, items_in_shard)`` candidates,
         so the merged pool always holds at least ``min(k, num_items)``
         genuine items and the result width matches the unsharded path.
         """
@@ -599,25 +675,10 @@ class ShardedInferenceIndex:
                              "ShardedInferenceIndex")
         registry = metrics()
         with span("sharding.fan_out"), registry.timer("sharding.fan_out_s"):
-            if getattr(self.executor, "ships_payloads", False):
-                # Multi-process fan-out: ship (users, k) descriptions; each
-                # worker gathers the user block from its own mapped snapshot.
-                # State the snapshot file does not hold (grown user rows,
-                # ingested exclusion pairs) is shipped alongside.
-                user_block, extra = self._payload_state(users, exclude_train)
-                results = self.executor.fan_out("top_k", users, int(k),
-                                                bool(exclude_train),
-                                                user_block, extra)
-            else:
-                user_block = self.user_embeddings[users]
-                tasks = [
-                    (lambda shard=shard: _timed_shard_task(
-                        shard.shard_id,
-                        lambda: shard.local_top_k(user_block, users, k,
-                                                  exclude_train)))
-                    for shard in self.shards
-                ]
-                results = self.executor.run(tasks)
+            user_block, extra = self._payload_state(users, exclude_train)
+            results = self.executor.fan_out("top_k", users, k,
+                                            bool(exclude_train), user_block,
+                                            extra)
         with span("sharding.merge"), registry.timer("sharding.merge_s"):
             candidate_ids = np.concatenate([ids for ids, _ in results], axis=1)
             candidate_scores = np.concatenate(

@@ -48,8 +48,8 @@ metadata; a magic/version/checksum/size mismatch raises
 :class:`SnapshotFormatError` instead of serving garbage.
 
 Worker-side helpers for multi-process fan-out live at the bottom:
-:func:`_execute_shard_payload` opens (and caches) exactly one shard's
-sections per worker process, so a :class:`ProcessExecutor` task ships only
+:class:`_SnapshotShards` opens (and caches) exactly one shard's sections per
+worker process, so a :class:`ProcessExecutor` request ships only
 ``(snapshot_path, shard_id, user_batch)`` plus any router-side divergence
 from the frozen file (grown user rows, ingested exclusion pairs) — never a
 catalogue matrix.
@@ -484,15 +484,16 @@ class ServingSnapshot:
 
 
 # ---------------------------------------------------------------------- #
-# Multi-process fan-out workers.
+# Snapshot-served shard state (process workers and shard servers).
 #
-# A ProcessExecutor task ships (snapshot_path, shard geometry, shard_id,
+# A ProcessExecutor request ships (snapshot_path, shard geometry, shard_id,
 # user batch) plus any router-side divergence from the frozen file (grown
 # user rows, ingested exclusion pairs) — never an embedding matrix.  Each
 # worker process opens the snapshot once, builds ONLY its shard's state (an
 # mmap'd embedding slice, the locally sliced exclusion, optionally the
 # shard's quantised block) and caches it for the life of the process, so
-# steady-state fan-out cost is one small (batch x k) result array per task.
+# steady-state fan-out cost is one small (batch x k) result array per
+# request.
 #
 # Caches are keyed by file *identity* (inode + mtime), not just the path:
 # publish_snapshot() republishes via os.replace, and a long-lived worker
@@ -524,7 +525,7 @@ class _PartialUserMask:
 
     A router that grew its user matrix online still ships global user ids;
     the snapshot's CSR simply has no rows for them (their exclusion pairs
-    arrive as extra payload pairs), so masking skips them instead of
+    ride along with each request), so masking skips them instead of
     indexing past ``indptr``.
     """
 
@@ -586,72 +587,26 @@ def _worker_block(snapshot_path: str, num_shards: int, policy: str,
     return block
 
 
-def _locate_extra_pairs(shard, extra) -> Optional[tuple]:
-    """This shard's (batch row, local column) slice of shipped extra pairs.
+class _SnapshotShards:
+    """Shard resolver over the snapshot file at ``snapshot_path``.
 
-    ``extra`` is the router's ``(batch row, global item)`` exclusion pairs
-    the snapshot file does not hold (see
-    :meth:`ShardedInferenceIndex._payload_state`), or ``None``.
+    What process workers and shard servers hand to
+    :func:`repro.engine.sharding.run_shard_request`: each shard id resolves
+    to this process's cached mmap'd state.  Picklable (a path and the shard
+    geometry), so a process executor ships it with every request.
     """
-    if extra is None:
-        return None
-    rows, items = extra
-    owned, local = shard.locate(items)
-    if not owned.any():
-        return None
-    return rows[owned], local[owned]
 
+    def __init__(self, snapshot_path: str, num_shards: int,
+                 policy: str) -> None:
+        self.snapshot_path = snapshot_path
+        self.num_shards = num_shards
+        self.policy = policy
 
-def _execute_shard_payload(payload: tuple):
-    """Run one shard task described by a picklable payload (worker side).
+    def shard_state(self, shard_id: int) -> tuple:
+        shard, user_embeddings, _, _ = _worker_shard(
+            self.snapshot_path, self.num_shards, self.policy, shard_id)
+        return shard, user_embeddings
 
-    Payload shapes (first element selects the kind)::
-
-        ("top_k", path, S, policy, shard_id, users, k, exclude_train,
-         user_block, extra_pairs)
-        ("candidates", path, S, policy, shard_id, users, num_candidates,
-         mode, exclude_train, user_block, extra_pairs)
-
-    ``user_block`` overrides the snapshot's user rows when the router
-    rebound its user matrix (grown users have no row in the file);
-    ``extra_pairs`` carries exclusion pairs the file does not hold — both
-    are ``None`` on the pure-snapshot fast path.  ``top_k`` returns the
-    shard's ``(global ids, scores)`` candidate lists — exactly
-    :meth:`ItemShard.local_top_k`; ``candidates`` returns
-    ``(global ids, exact scores, thresholds)`` — exactly
-    :meth:`ShardedCandidateIndex._shard_task`.  Both therefore merge
-    bit-identically to the in-process executors on the same router state.
-    """
-    kind = payload[0]
-    if kind == "top_k":
-        (_, path, num_shards, policy, shard_id, users, k, exclude_train,
-         user_block, extra) = payload
-        shard, user_embeddings, _, _ = _worker_shard(path, num_shards, policy,
-                                                     shard_id)
-        if user_block is None:
-            user_block = np.asarray(user_embeddings[users])
-        return shard.local_top_k(user_block, users, k, exclude_train,
-                                 extra_pairs=_locate_extra_pairs(shard, extra))
-    if kind == "candidates":
-        (_, path, num_shards, policy, shard_id, users, num_candidates, mode,
-         exclude_train, user_block, extra) = payload
-        from .candidates import _two_stage_block
-
-        shard, user_embeddings, _, _ = _worker_shard(path, num_shards, policy,
-                                                     shard_id)
-        block = _worker_block(path, num_shards, policy, shard_id, mode)
-        if user_block is None:
-            user_block = np.asarray(user_embeddings[users])
-        user_norms = np.linalg.norm(
-            user_block.astype(np.float64, copy=False), axis=1)
-
-        def rescore(candidates: np.ndarray) -> np.ndarray:
-            return np.einsum("bd,bmd->bm", user_block,
-                             shard.item_embeddings[candidates])
-
-        local_ids, scores, thresholds = _two_stage_block(
-            user_block, users, user_norms, num_candidates, block,
-            shard.exclusion, exclude_train, rescore,
-            extra_pairs=_locate_extra_pairs(shard, extra))
-        return shard.item_ids[local_ids], scores, thresholds
-    raise ValueError(f"unknown shard payload kind {kind!r}")
+    def shard_block(self, shard_id: int, mode: str) -> QuantizedItemBlock:
+        return _worker_block(self.snapshot_path, self.num_shards,
+                             self.policy, shard_id, mode)

@@ -16,6 +16,14 @@ from repro.data import (
 from repro.engine import UserItemIndex
 
 
+def _sampler(positive_sets, num_items, **kwargs):
+    """A sampler over one CSR index built from per-user positive sets."""
+    users = [user for user, items in enumerate(positive_sets) for _ in items]
+    items = [item for items in positive_sets for item in sorted(items)]
+    index = UserItemIndex(len(positive_sets), num_items, users, items)
+    return NegativeSampler(index, **kwargs)
+
+
 class TestBatchSpec:
     def test_defaults(self):
         spec = BatchSpec()
@@ -51,8 +59,8 @@ class TestVectorizedNegativeSampler:
     def test_degenerate_user_terminates_with_uniform_fallback(self):
         # One user interacted with the whole catalogue, the other with all
         # but one item: both must terminate, the former uniformly.
-        sampler = NegativeSampler([set(range(5)), set(range(4))], num_items=5,
-                                  rng=np.random.default_rng(0))
+        sampler = _sampler([set(range(5)), set(range(4))], 5,
+                           rng=np.random.default_rng(0))
         users = np.array([0] * 50 + [1] * 50)
         negatives = sampler.sample(users)
         assert np.all((negatives >= 0) & (negatives < 5))
@@ -64,15 +72,15 @@ class TestVectorizedNegativeSampler:
     def test_exact_complement_fallback_is_collision_free(self):
         # max_rounds=1 forces the order-statistics fallback for a user whose
         # positives cover most of the catalogue (collisions nearly certain).
-        sampler = NegativeSampler([set(range(99))], num_items=100,
-                                  rng=np.random.default_rng(3), max_rounds=1)
+        sampler = _sampler([set(range(99))], 100,
+                           rng=np.random.default_rng(3), max_rounds=1)
         negatives = sampler.sample(np.zeros(200, dtype=np.int64))
         assert np.all(negatives == 99)
 
     def test_complement_fallback_uniform_over_gaps(self):
         # Positives leave gaps at {1, 4, 7}; the fallback must reach each.
-        sampler = NegativeSampler([{0, 2, 3, 5, 6}], num_items=8,
-                                  rng=np.random.default_rng(5), max_rounds=1)
+        sampler = _sampler([{0, 2, 3, 5, 6}], 8,
+                           rng=np.random.default_rng(5), max_rounds=1)
         negatives = sampler.sample(np.zeros(300, dtype=np.int64))
         assert set(negatives.tolist()) == {1, 4, 7}
 
@@ -95,10 +103,10 @@ class TestVectorizedNegativeSampler:
 
     def test_invalid_max_rounds(self):
         with pytest.raises(ValueError):
-            NegativeSampler([set()], num_items=3, max_rounds=0)
+            _sampler([set()], 3, max_rounds=0)
 
     def test_constructor_requires_source(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             NegativeSampler()
 
 

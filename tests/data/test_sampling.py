@@ -1,9 +1,27 @@
-"""Tests for negative sampling and the batch iterators."""
+"""Tests for negative sampling and the BPR / user-row batch pipelines."""
 
 import numpy as np
 import pytest
 
-from repro.data import BprBatchIterator, NegativeSampler, UserBatchIterator
+from repro.data import (
+    BatchSpec,
+    BprPipeline,
+    MultiNegativePipeline,
+    NegativeSampler,
+    UserRowPipeline,
+)
+from repro.engine import UserItemIndex
+
+
+def _bpr(split, batch_size, rng=None):
+    return BprPipeline(split, BatchSpec(kind="bpr", batch_size=batch_size),
+                       rng=rng)
+
+
+def _user_rows(split, batch_size, shuffle=True):
+    return UserRowPipeline(split, BatchSpec(kind="user_rows",
+                                            batch_size=batch_size,
+                                            shuffle=shuffle))
 
 
 class TestNegativeSampler:
@@ -28,17 +46,18 @@ class TestNegativeSampler:
             assert sampler.sample_one(user) not in positives[user]
 
     def test_degenerate_user_with_all_items(self):
-        sampler = NegativeSampler([set(range(5))], num_items=5, rng=np.random.default_rng(0))
+        index = UserItemIndex(1, 5, np.zeros(5, dtype=np.int64), np.arange(5))
+        sampler = NegativeSampler.from_index(index, rng=np.random.default_rng(0))
         assert 0 <= sampler.sample_one(0) < 5
 
     def test_invalid_num_items(self):
         with pytest.raises(ValueError):
-            NegativeSampler([set()], num_items=0)
+            NegativeSampler.from_index(UserItemIndex(1, 0, [], []))
 
 
 class TestBprBatchIterator:
     def test_epoch_covers_all_interactions(self, tiny_split):
-        iterator = BprBatchIterator(tiny_split, batch_size=32, rng=np.random.default_rng(0))
+        iterator = _bpr(tiny_split, 32, rng=np.random.default_rng(0))
         seen = 0
         for users, positives, negatives in iterator:
             assert users.shape == positives.shape == negatives.shape
@@ -46,15 +65,15 @@ class TestBprBatchIterator:
         assert seen == tiny_split.num_train
 
     def test_len_matches_number_of_batches(self, tiny_split):
-        iterator = BprBatchIterator(tiny_split, batch_size=32, rng=np.random.default_rng(0))
+        iterator = _bpr(tiny_split, 32, rng=np.random.default_rng(0))
         assert len(iterator) == len(list(iter(iterator)))
 
     def test_batches_do_not_exceed_batch_size(self, tiny_split):
-        iterator = BprBatchIterator(tiny_split, batch_size=16, rng=np.random.default_rng(0))
+        iterator = _bpr(tiny_split, 16, rng=np.random.default_rng(0))
         assert all(users.size <= 16 for users, _, _ in iterator)
 
     def test_negatives_not_in_train_positives(self, tiny_split):
-        iterator = BprBatchIterator(tiny_split, batch_size=64, rng=np.random.default_rng(3))
+        iterator = _bpr(tiny_split, 64, rng=np.random.default_rng(3))
         positives_per_user = tiny_split.train_positive_sets()
         for users, _, negatives in iterator:
             for user, negative in zip(users, negatives):
@@ -62,22 +81,22 @@ class TestBprBatchIterator:
 
     def test_invalid_batch_size(self, tiny_split):
         with pytest.raises(ValueError):
-            BprBatchIterator(tiny_split, batch_size=0)
+            _bpr(tiny_split, 0)
 
     def test_legacy_multi_negative_shape_preserved(self, tiny_split):
-        # The shim keeps the historical shapes: (B,) users with a (B, n)
-        # negatives matrix, NOT the pipeline's flattened aligned triples.
-        iterator = BprBatchIterator(tiny_split, batch_size=32, num_negatives=4,
-                                    rng=np.random.default_rng(0))
-        users, positives, negatives = next(iter(iterator))
+        # (B,) users with a (B, n) negatives matrix comes from the
+        # multi-negative pipeline, not from BprPipeline's flattened triples.
+        pipeline = MultiNegativePipeline(
+            tiny_split, BatchSpec(kind="multi_negative", batch_size=32,
+                                  num_negatives=4),
+            rng=np.random.default_rng(0))
+        users, positives, negatives = next(iter(pipeline))
         assert users.shape == positives.shape == (32,)
         assert negatives.shape == (32, 4)
 
     def test_shuffling_changes_order(self, tiny_split):
-        a = BprBatchIterator(tiny_split, batch_size=tiny_split.num_train,
-                             rng=np.random.default_rng(0))
-        b = BprBatchIterator(tiny_split, batch_size=tiny_split.num_train,
-                             rng=np.random.default_rng(99))
+        a = _bpr(tiny_split, tiny_split.num_train, rng=np.random.default_rng(0))
+        b = _bpr(tiny_split, tiny_split.num_train, rng=np.random.default_rng(99))
         users_a = next(iter(a))[0]
         users_b = next(iter(b))[0]
         assert not np.array_equal(users_a, users_b)
@@ -85,7 +104,7 @@ class TestBprBatchIterator:
 
 class TestUserBatchIterator:
     def test_rows_match_training_interactions(self, tiny_split):
-        iterator = UserBatchIterator(tiny_split, batch_size=16, shuffle=False)
+        iterator = _user_rows(tiny_split, 16, shuffle=False)
         positives = tiny_split.train_positive_sets()
         for users, rows in iterator:
             for row_index, user in enumerate(users):
@@ -93,20 +112,20 @@ class TestUserBatchIterator:
                 assert nonzero == positives[int(user)]
 
     def test_every_user_visited_once(self, tiny_split):
-        iterator = UserBatchIterator(tiny_split, batch_size=7, shuffle=False)
+        iterator = _user_rows(tiny_split, 7, shuffle=False)
         visited = np.concatenate([users for users, _ in iterator])
         assert sorted(visited.tolist()) == list(range(tiny_split.num_users))
 
     def test_interaction_row_binary(self, tiny_split):
-        iterator = UserBatchIterator(tiny_split, batch_size=4)
+        iterator = _user_rows(tiny_split, 4)
         row = iterator.interaction_row(0)
         assert set(np.unique(row)).issubset({0.0, 1.0})
         assert row.shape == (tiny_split.num_items,)
 
     def test_len(self, tiny_split):
-        iterator = UserBatchIterator(tiny_split, batch_size=10, shuffle=False)
+        iterator = _user_rows(tiny_split, 10, shuffle=False)
         assert len(iterator) == int(np.ceil(tiny_split.num_users / 10))
 
     def test_invalid_batch_size(self, tiny_split):
         with pytest.raises(ValueError):
-            UserBatchIterator(tiny_split, batch_size=-1)
+            _user_rows(tiny_split, -1)

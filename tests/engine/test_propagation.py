@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.autograd import SparseTensor, Tensor, sparse_matmul
+from repro.autograd import Tensor
 from repro.engine import PropagationEngine
 
 from ..helpers import check_gradient
@@ -42,10 +42,6 @@ class TestConstruction:
         assert demoted.dtype == np.float32
         np.testing.assert_allclose(demoted.to_dense(), operator.toarray(),
                                    rtol=1e-6)
-
-    def test_sparse_tensor_is_engine(self, operator):
-        # Back-compat: the historical autograd-level name is the engine.
-        assert isinstance(SparseTensor(operator), PropagationEngine)
 
 
 class TestProducts:
@@ -99,7 +95,7 @@ class TestAutograd:
         engine = PropagationEngine(operator)
         dense = Tensor(rng.normal(size=(5, 2)))
         np.testing.assert_allclose(engine.apply(dense).data,
-                                   sparse_matmul(operator, dense).data)
+                                   operator @ dense.data)
 
     def test_apply_gradient(self, operator, rng):
         engine = PropagationEngine(operator)

@@ -247,17 +247,19 @@ class TestHandshake:
 
 class TestRemoteExecutor:
     def test_run_refuses_closures(self, addresses):
+        # Only shard requests cross the wire; a closure is not one.
         with RemoteExecutor(addresses) as executor:
-            with pytest.raises(TypeError):
-                executor.run([lambda: None])
+            with pytest.raises(ValueError, match="request kind"):
+                executor.fan_out(lambda: None)
 
-    def test_bind_check_rejects_other_geometry(self, addresses):
+    def test_bind_check_rejects_other_geometry(self, index, addresses):
         with RemoteExecutor(addresses) as executor:
-            executor.bind_check(2, "contiguous")
+            ShardedInferenceIndex.from_index(index, 2, executor=executor)
             with pytest.raises(ValueError):
-                executor.bind_check(3, "contiguous")
+                ShardedInferenceIndex.from_index(index, 3, executor=executor)
             with pytest.raises(ValueError):
-                executor.bind_check(2, "strided")
+                ShardedInferenceIndex.from_index(index, 2, policy="strided",
+                                                 executor=executor)
 
     def test_close_is_idempotent_and_terminal(self, addresses):
         executor = RemoteExecutor(addresses)
@@ -351,7 +353,7 @@ class TestRemoteService:
     def test_refresh_is_rejected_over_remote(self, tiny_split, snap_path,
                                              addresses):
         # A model whose embeddings differ from the snapshot, so the
-        # ships_payloads guard actually triggers (an unchanged snapshot is
+        # serves_snapshot guard actually triggers (an unchanged snapshot is
         # a legal no-op refresh).
         other = BprMF(tiny_split, embedding_dim=8, seed=11)
         other.eval()
@@ -801,9 +803,9 @@ class TestSingleShardShortCircuit:
         def __init__(self):
             self.calls = 0
 
-        def run(self, tasks):
+        def bind(self, index):
             self.calls += 1
-            raise AssertionError("single-shard serving used the executor")
+            raise AssertionError("single-shard serving bound the executor")
 
         def fan_out(self, kind, *request):
             self.calls += 1

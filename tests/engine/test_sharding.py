@@ -217,23 +217,36 @@ class TestMergeDeterminism:
 
 
 class TestExecutors:
-    def test_serial_runs_in_order(self):
-        calls = []
-        tasks = [lambda i=i: calls.append(i) or i for i in range(5)]
-        assert SerialExecutor().run(tasks) == [0, 1, 2, 3, 4]
-        assert calls == [0, 1, 2, 3, 4]
+    REQUEST = (np.arange(6, dtype=np.int64), 3, True, None, None)
 
-    def test_threaded_preserves_task_order(self):
+    def test_serial_runs_in_order(self, index):
+        sharded = ShardedInferenceIndex.from_index(index, 5,
+                                                   executor=SerialExecutor())
+        results = sharded.executor.fan_out("top_k", *self.REQUEST)
+        assert len(results) == 5
+        users = self.REQUEST[0]
+        for shard, (ids, scores) in zip(sharded.shards, results):
+            want_ids, want_scores = shard.local_top_k(
+                index.user_embeddings[users], users, 3, True)
+            np.testing.assert_array_equal(ids, want_ids)
+            np.testing.assert_array_equal(scores, want_scores)
+
+    def test_threaded_preserves_task_order(self, index):
+        serial = ShardedInferenceIndex.from_index(index, 8)
         executor = ThreadedExecutor(max_workers=4)
-        tasks = [lambda i=i: i * i for i in range(8)]
-        assert executor.run(tasks) == [i * i for i in range(8)]
+        ShardedInferenceIndex.from_index(index, 8, executor=executor)
+        expected = serial.executor.fan_out("top_k", *self.REQUEST)
+        results = executor.fan_out("top_k", *self.REQUEST)
+        assert [ids.tolist() for ids, _ in results] == \
+            [ids.tolist() for ids, _ in expected]
         executor.close()
         assert executor._pool is None  # close releases the pool
 
-    def test_threaded_single_task_runs_inline(self):
+    def test_threaded_single_task_runs_inline(self, index):
         executor = ThreadedExecutor()
-        assert executor.run([lambda: 42]) == [42]
-        assert executor._pool is None  # no pool spun up for one task
+        ShardedInferenceIndex.from_index(index, 1, executor=executor)
+        assert len(executor.fan_out("top_k", *self.REQUEST)) == 1
+        assert executor._pool is None  # no pool spun up for one shard
         executor.close()
 
     def test_threaded_fanout_parity(self, index):
@@ -294,7 +307,8 @@ class TestServiceIntegration:
 
     def test_service_parallel_executor(self, model, tiny_split):
         users = np.arange(tiny_split.num_users)
-        sharded = RecommendationService(model, num_shards=4, parallel=True)
+        sharded = RecommendationService(model, num_shards=4,
+                                        executor="threads")
         plain = RecommendationService(model)
         np.testing.assert_array_equal(plain.top_k(users, 8),
                                       sharded.top_k(users, 8))
@@ -309,8 +323,9 @@ class TestServiceIntegration:
             RecommendationService(model, num_shards=0)
 
     def test_parallel_without_shards_rejected(self, model):
-        """parallel=True on one shard is a silent no-op — refuse it loudly."""
-        with pytest.raises(ValueError, match="num_shards"):
+        """The removed parallel=True option fails loudly instead of silently
+        serving serially (executor="threads" replaces it)."""
+        with pytest.raises(TypeError, match="parallel"):
             RecommendationService(model, parallel=True)
 
     def test_refresh_reshards_new_snapshot(self, model, tiny_split):
@@ -334,6 +349,7 @@ class TestServiceIntegration:
                                       large.top_k(users, 5))
 
     def test_repr_mentions_sharding(self, model):
-        service = RecommendationService(model, num_shards=3, parallel=True)
+        service = RecommendationService(model, num_shards=3,
+                                        executor="threads")
         assert "shards=3" in repr(service)
         service.close()

@@ -14,6 +14,7 @@ from repro.engine import (
     SerialExecutor,
     SNAPSHOT_VERSION,
     ServingSnapshot,
+    ShardedInferenceIndex,
     SnapshotFormatError,
     ThreadedExecutor,
     UserItemIndex,
@@ -297,10 +298,10 @@ class TestProcessExecutor:
         with pytest.raises(ValueError, match="max_workers"):
             ProcessExecutor(snap_path, 2, max_workers=0)
 
-    def test_bind_check_rejects_mismatched_geometry(self, snap_path):
+    def test_bind_check_rejects_mismatched_geometry(self, index, snap_path):
         executor = ProcessExecutor(snap_path, 2)
         with pytest.raises(ValueError, match="shard"):
-            executor.bind_check(3, "contiguous")
+            ShardedInferenceIndex.from_index(index, 3, executor=executor)
         executor.close()
 
     def test_close_is_idempotent_and_context_managed(self, snap_path):
@@ -396,6 +397,39 @@ class TestOnlineProcessParity:
                                           oracle.top_k(all_users, K))
 
 
+class TestOneShardRequestPath:
+    """Every executor runs the same shard requests through one function:
+    online serving over a snapshot is identical for serial, threads and
+    process, and only the process workers get router divergence shipped."""
+
+    @pytest.mark.parametrize("mode", [None, "int8"])
+    @pytest.mark.parametrize("executor", ["serial", "threads", "process"])
+    def test_online_serving_identical_across_executors(self, index, snap_path,
+                                                       executor, mode):
+        new_user = index.num_users + 1  # grows the user matrix by two rows
+        users = np.concatenate([np.arange(index.num_users), [new_user]])
+        events = (np.asarray([0, 1, 3, new_user, new_user]),
+                  np.asarray([2, 5, 1, 0, 4]))
+
+        def serve(name):
+            with OnlineRecommendationService(
+                    snapshot=snap_path, num_shards=3, executor=name,
+                    candidate_mode=mode) as service:
+                service.ingest(*events)
+                state = service.sharded._payload_state(users, True)
+                return service.top_k(users, K), state
+
+        expected, _ = serve("serial")
+        served, (user_block, extra) = serve(executor)
+        np.testing.assert_array_equal(served, expected)
+        if executor == "process":
+            # The grown rows and the ingested pairs ship with each request.
+            assert user_block is not None and extra is not None
+        else:
+            # In-process executors read the live shards: nothing to ship.
+            assert user_block is None and extra is None
+
+
 class TestExecutorHygiene:
     @pytest.mark.parametrize("workers", [0, -3])
     def test_rejects_non_positive_workers(self, workers):
@@ -404,9 +438,14 @@ class TestExecutorHygiene:
 
     @pytest.mark.parametrize("executor_cls", [SerialExecutor,
                                               ThreadedExecutor])
-    def test_context_manager_closes(self, executor_cls):
+    def test_context_manager_closes(self, index, executor_cls):
+        users = np.arange(4)
         with executor_cls() as executor:
-            assert executor.run([lambda: 1, lambda: 2]) == [1, 2]
+            sharded = ShardedInferenceIndex.from_index(index, 2,
+                                                       executor=executor)
+            np.testing.assert_array_equal(sharded.top_k(users, K),
+                                          index.top_k(users, K))
+        assert executor._pool is None  # the with-block released the pool
         executor.close()  # already closed: still a no-op
 
     def test_service_close_shuts_executor_down(self, index):

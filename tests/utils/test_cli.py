@@ -88,13 +88,14 @@ class TestShardedRecommend:
         unsharded = self._payload(capsys, [])
         for extra in (["--shards", "4"],
                       ["--shards", "7", "--shard-policy", "strided"],
-                      ["--shards", "3", "--parallel"]):
+                      ["--shards", "3", "--executor", "threads"]):
             payload = self._payload(capsys, extra)
             assert payload["recommendations"] == unsharded["recommendations"]
 
     def test_payload_reports_sharding(self, capsys):
-        payload = self._payload(capsys, ["--shards", "2", "--parallel"])
-        assert payload["shards"] == 2 and payload["parallel"] is True
+        payload = self._payload(capsys, ["--shards", "2", "--executor",
+                                         "threads"])
+        assert payload["shards"] == 2 and payload["executor"] == "threads"
 
     def test_rejects_non_positive_shards(self):
         with pytest.raises(SystemExit):
@@ -102,7 +103,7 @@ class TestShardedRecommend:
 
     def test_rejects_parallel_without_shards(self):
         with pytest.raises(SystemExit, match="--shards"):
-            main(self.BASE + ["--parallel"])
+            main(self.BASE + ["--executor", "threads"])
 
     def test_non_factorized_model_fails_cleanly(self):
         with pytest.raises(SystemExit, match="factorised"):
@@ -118,7 +119,7 @@ class TestShardedRecommend:
         subparsers = next(action for action in parser._actions
                           if isinstance(action, argparse._SubParsersAction))
         text = subparsers.choices["recommend"].format_help()
-        assert "--shards" in text and "--parallel" in text
+        assert "--shards" in text and "--executor" in text
         assert "--shard-policy" in text
 
 
@@ -439,10 +440,9 @@ class TestSnapshotCommand:
         with pytest.raises(SystemExit, match="checkpoint"):
             main(["recommend", "--snapshot", missing, "--users", "0",
                   "--checkpoint", "weights.npz"])
-        with pytest.raises(SystemExit, match="parallel"):
+        with pytest.raises(SystemExit, match="--shards > 1"):
             main(["recommend", "--model", "bpr", "--dataset", "tiny",
-                  "--epochs", "0", "--users", "0", "--shards", "2",
-                  "--parallel", "--executor", "threads"])
+                  "--epochs", "0", "--users", "0", "--executor", "threads"])
 
     def test_help_documents_snapshot_flags(self):
         import argparse
